@@ -73,10 +73,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Keys each population kind reads; any other key is a config error.
+_POPULATION_KEYS = {
+    "evenly_spaced": {"kind", "n", "epsilon", "transform"},
+    "mixture": {
+        "kind", "n", "fractions", "epsilons", "opinion_dist", "mean", "sd", "rng_seed", "transform",
+    },
+    "csv": {"kind", "path", "transform"},
+}
+_TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
+_SWEEP_KEYS = {
+    "kind", "grid", "population_sizes", "runs", "transform_from", "transform_epsilon",
+    "base_mixture", "dynamics", "placement",
+}
+
+
+def _check_keys(section: str, cfg: dict, allowed: set) -> None:
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {section} keys {unknown}")
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     if args.seed is not None:
         for key in ("population", "base_mixture"):
-            if key in cfg and isinstance(cfg[key], dict):
+            # only a mixture has a generation seed
+            if isinstance(cfg.get(key), dict) and cfg[key].get("kind", "mixture") == "mixture":
                 cfg[key]["rng_seed"] = args.seed
     for item in args.set:
         if "=" not in item:
@@ -98,21 +120,19 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 def _population_from_config(cfg: dict):
     kind = cfg.get("kind", "mixture")
+    if kind not in _POPULATION_KEYS:
+        raise ValueError(f"unknown population kind {kind!r}")
+    _check_keys("population", cfg, _POPULATION_KEYS[kind])
     if kind == "evenly_spaced":
         pop = evenly_spaced(int(cfg["n"]), float(cfg["epsilon"]))
     elif kind == "mixture":
-        fields = {
-            k: cfg[k]
-            for k in ("n", "fractions", "epsilons", "opinion_dist", "mean", "sd", "rng_seed")
-            if k in cfg
-        }
+        fields = {k: v for k, v in cfg.items() if k not in ("kind", "transform")}
         pop = clipped_normal_mixture(MixtureSpec(**fields))
-    elif kind == "csv":
-        pop = read_population_csv(Path(cfg["path"]).read_text())
     else:
-        raise ValueError(f"unknown population kind {kind!r}")
+        pop = read_population_csv(Path(cfg["path"]).read_text())
     t = cfg.get("transform")
     if t:
+        _check_keys("transform", t, _TRANSFORM_KEYS)
         pop = transform(
             pop,
             t["from"],
@@ -132,13 +152,10 @@ def _placement_from_config(cfg: dict) -> PlacementConfig:
 
 
 def _sweep_from_config(cfg: dict) -> SweepSpec:
+    _check_keys("sweep", cfg, _SWEEP_KEYS)
     base = cfg.get("base_mixture")
     placement = cfg.get("placement")
-    fields = {
-        k: cfg[k]
-        for k in ("kind", "grid", "population_sizes", "runs", "transform_from", "transform_epsilon")
-        if k in cfg
-    }
+    fields = {k: v for k, v in cfg.items() if k not in ("base_mixture", "dynamics", "placement")}
     return SweepSpec(
         base_mixture=MixtureSpec(**base) if base else None,
         dynamics=_dynamics_from_config(cfg.get("dynamics")),
@@ -191,6 +208,8 @@ def _run_command(command: str, cfg: dict) -> dict:
         pop = _population_from_config(cfg["population"])
         dyn = _dynamics_from_config(cfg.get("dynamics"))
         step = int(cfg.get("step", 0))
+        if step < 0:
+            raise ValueError(f"graph step must be nonnegative, got {step}")
         fmt = cfg.get("format", "dot")
         profile = pop.opinions
         if step > 0:

@@ -11,7 +11,6 @@ clusters are maximal groups of opinions chained within cluster_tol.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,106 +28,98 @@ class Mindedness(str, Enum):
     MODERATE = "moderate"
     OPEN = "open"
 
+    # numpy turns a scalar operand into str(member); returning the value
+    # makes `labels == Mindedness.OPEN` compare label by label
+    def __str__(self) -> str:
+        return self.value
+
 
 class Rule(str, Enum):
     HK = "hk"
     HK_MOD = "hk_mod"
 
 
+_LABELS = np.array([m.value for m in Mindedness])  # close, moderate, open
+
+
+def classify_all(epsilons) -> np.ndarray:
+    """Mindedness label of each epsilon: close < 0.17 <= moderate <= 0.22
+    < open.  Rejects negative and non-finite values."""
+    eps = np.asarray(epsilons, dtype=float)
+    bad = ~(np.isfinite(eps) & (eps >= 0.0))
+    if bad.any():
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps[bad][0]}")
+    return _LABELS[(eps >= CLOSE_MAX).astype(np.intp) + (eps > MODERATE_MAX)]
+
+
 def classify(epsilon: float) -> Mindedness:
-    """Label a confidence interval: close < 0.17 <= moderate <= 0.22 < open."""
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if epsilon < CLOSE_MAX:
-        return Mindedness.CLOSE
-    if epsilon <= MODERATE_MAX:
-        return Mindedness.MODERATE
-    return Mindedness.OPEN
+    """Label one confidence interval; see classify_all."""
+    return Mindedness(str(classify_all(epsilon)))
 
 
-@dataclass(frozen=True)
-class Agent:
-    """One agent; mindedness is derived from epsilon, never set directly."""
-
-    id: int
-    opinion: float
-    epsilon: float
-    injected: bool = False
-    mindedness: Mindedness = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.opinion <= 1.0:
-            raise ValueError(f"opinion must lie in [0, 1], got {self.opinion}")
-        object.__setattr__(self, "mindedness", classify(self.epsilon))
+def _frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
+@dataclass(frozen=True, eq=False)
 class Population:
-    """Immutable roster of agents with cached opinion/epsilon arrays.
+    """Immutable roster of agents as parallel read-only arrays.
 
-    Agent ids must be unique; the array position of an agent is its list
-    position, which everywhere in this package equals its id for
-    populations built by the generators.
+    Agent k has opinions[k], epsilons[k], injected[k] and ids[k].  ids
+    must be unique and default to the positions 0..n-1, which is what
+    every generator in this package produces; injected defaults to
+    False.  mindedness holds each agent's Mindedness value, derived from
+    its epsilon and never set directly.
     """
 
-    def __init__(self, agents: list[Agent]):
-        agents = list(agents)
-        if not agents:
+    opinions: np.ndarray
+    epsilons: np.ndarray
+    injected: np.ndarray | None = None
+    ids: np.ndarray | None = None
+    mindedness: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        x = _frozen(self.opinions, float)
+        if x.ndim != 1 or x.size == 0:
             raise ValueError("population must contain at least one agent")
-        ids = [a.id for a in agents]
-        if len(set(ids)) != len(ids):
+        n = x.size
+        columns = {
+            "opinions": x,
+            "epsilons": _frozen(self.epsilons, float),
+            "injected": _frozen(np.zeros(n) if self.injected is None else self.injected, bool),
+            "ids": _frozen(np.arange(n) if self.ids is None else self.ids, np.int64),
+        }
+        if any(a.shape != (n,) for a in columns.values()):
+            raise ValueError("opinions, epsilons, injected and ids must have equal length")
+        inside = (x >= 0.0) & (x <= 1.0)
+        if not inside.all():
+            raise ValueError(f"opinions must lie in [0, 1], got {x[~inside][0]}")
+        s = np.sort(columns["ids"])
+        if np.any(s[1:] == s[:-1]):
             raise ValueError("agent ids must be unique")
-        self.agents = agents
-        self._opinions = np.array([a.opinion for a in agents], dtype=float)
-        self._epsilons = np.array([a.epsilon for a in agents], dtype=float)
-        self._opinions.setflags(write=False)
-        self._epsilons.setflags(write=False)
+        columns["mindedness"] = _frozen(classify_all(columns["epsilons"]), _LABELS.dtype)
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.agents)
-
-    @property
-    def opinions(self) -> np.ndarray:
-        return self._opinions
-
-    @property
-    def epsilons(self) -> np.ndarray:
-        return self._epsilons
+        return len(self.opinions)
 
     @classmethod
-    def from_arrays(
-        cls,
-        opinions,
-        epsilons,
-        injected=None,
-    ) -> "Population":
-        opinions = np.asarray(opinions, dtype=float)
-        epsilons = np.asarray(epsilons, dtype=float)
-        if opinions.shape != epsilons.shape:
-            raise ValueError("opinions and epsilons must have equal length")
-        if injected is None:
-            injected = [False] * len(opinions)
-        return cls(
-            [
-                Agent(id=i, opinion=float(x), epsilon=float(e), injected=bool(f))
-                for i, (x, e, f) in enumerate(zip(opinions, epsilons, injected))
-            ]
-        )
+    def from_arrays(cls, opinions, epsilons, injected=None) -> "Population":
+        return cls(opinions, epsilons, injected)
 
-    def with_opinions(self, profile) -> "Population":
-        """Same agents, new opinion profile (used to rebuild snapshots)."""
-        profile = np.asarray(profile, dtype=float)
-        if len(profile) != self.n:
-            raise ValueError("profile length must match population size")
+    def extended(self, opinions, epsilons) -> "Population":
+        """Append injected agents with ids n, n+1, ..."""
+        k = len(opinions)
         return Population(
-            [
-                Agent(id=a.id, opinion=float(x), epsilon=a.epsilon, injected=a.injected)
-                for a, x in zip(self.agents, profile)
-            ]
+            np.concatenate([self.opinions, opinions]),
+            np.concatenate([self.epsilons, np.broadcast_to(epsilons, k)]),
+            np.concatenate([self.injected, np.ones(k, dtype=bool)]),
+            np.concatenate([self.ids, self.n + np.arange(k)]),
         )
-
-    def extended(self, new_agents: list[Agent]) -> "Population":
-        return Population(self.agents + list(new_agents))
 
 
 def neighborhood(pop: Population, i: int) -> set[int]:
@@ -218,28 +209,47 @@ class SimulationResult:
     converged (the profile at t_eqm and its quiet successor are both
     kept) and max_steps + 1 otherwise.  t_eqm is None when the run hit
     max_steps without settling; c_eqm is then counted on the final
-    profile anyway.  agents lists the roster matching the trajectory
-    columns (placement runs append injected agents at the end).
+    profile anyway.  agents is the roster Population matching the
+    trajectory columns: agents injected during the run are appended at
+    the end, and a profile covers only the agents present at its step.
     """
 
     trajectory: list
     t_eqm: int | None
     converged: bool
     c_eqm: int
-    agents: list
+    agents: Population
 
 
-def simulate(pop: Population, cfg: DynamicsConfig | None = None) -> SimulationResult:
-    """Run the configured rule until quiet (max move <= delta) or max_steps."""
+def simulate(
+    pop: Population,
+    cfg: DynamicsConfig | None = None,
+    intervene=None,
+) -> SimulationResult:
+    """Run the configured rule until quiet (max move <= delta) or max_steps.
+
+    intervene(t, x, eps), when given, is called before each step with the
+    current profile and epsilons.  It returns None, or the opinions and
+    epsilons of agents to inject: they are appended to the roster and to
+    the profile at t, take part in step t, and keep the run from counting
+    step t as quiet.
+    """
     cfg = cfg or DynamicsConfig()
+    roster = pop
     x = pop.opinions.copy()
     eps = pop.epsilons
     traj = [x]
     t_eqm = None
     for t in range(cfg.max_steps):
+        added = intervene(t, x, eps) if intervene else None
+        if added is not None:
+            roster = roster.extended(*added)
+            x = np.concatenate([x, roster.opinions[len(x):]])
+            eps = roster.epsilons
+            traj[-1] = x
         x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own)
         traj.append(x1)
-        if float(np.max(np.abs(x1 - x))) <= cfg.delta:
+        if added is None and float(np.max(np.abs(x1 - x))) <= cfg.delta:
             t_eqm = t
             break
         x = x1
@@ -248,7 +258,7 @@ def simulate(pop: Population, cfg: DynamicsConfig | None = None) -> SimulationRe
         t_eqm=t_eqm,
         converged=t_eqm is not None,
         c_eqm=count_clusters(traj[-1], cfg.cluster_tol),
-        agents=list(pop.agents),
+        agents=roster,
     )
 
 
@@ -277,27 +287,24 @@ def cluster_labels(profile, tol: float = 1e-3) -> np.ndarray:
     return labels
 
 
-def write_trajectory_csv(trajectory: list, agents: list) -> str:
+def write_trajectory_csv(trajectory: list, agents: Population) -> str:
     """Serialize a trajectory as t,agent_id,opinion,epsilon,mindedness,injected.
 
     Profiles may grow over time (placement runs); an agent's rows start
     at the first step it is present.  Floats use repr so a reread parses
     back bit-identically.
     """
+    ids = agents.ids.tolist()
+    tails = [
+        f"{e!r},{m},{'true' if f else 'false'}\n"
+        for e, m, f in zip(
+            agents.epsilons.tolist(), agents.mindedness.tolist(), agents.injected.tolist()
+        )
+    ]
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "agent_id", "opinion", "epsilon", "mindedness", "injected"])
+    buf.write("t,agent_id,opinion,epsilon,mindedness,injected\n")
     for t, profile in enumerate(trajectory):
-        for i in range(len(profile)):
-            a = agents[i]
-            w.writerow(
-                [
-                    t,
-                    a.id,
-                    repr(float(profile[i])),
-                    repr(float(a.epsilon)),
-                    a.mindedness.value,
-                    "true" if a.injected else "false",
-                ]
-            )
+        buf.writelines(
+            f"{t},{i},{x!r},{tail}" for i, x, tail in zip(ids, np.asarray(profile, dtype=float).tolist(), tails)
+        )
     return buf.getvalue()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, classify
+from .core import Population, classify_all
 
 
 @dataclass(frozen=True)
@@ -68,25 +68,26 @@ def in_degrees(g: InfluenceGraph) -> np.ndarray:
     return deg
 
 
+def _pulls(x: np.ndarray, eps: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    # the one pull formula: pull and pulls_all must agree bit for bit,
+    # because the placement scan qualifies pairs on exact comparisons
+    d = x[None, :] - x[rows, None]  # d[r, k] = x_k - x_r
+    mask = np.abs(d) <= eps[rows, None]
+    right = np.where(mask & (d > 0.0), d, 0.0).sum(axis=1)
+    left = np.where(mask & (d < 0.0), -d, 0.0).sum(axis=1)
+    return left, right
+
+
 def pull(g: InfluenceGraph, i: int) -> PullDecomposition:
     if not 0 <= i < g.n:
         raise ValueError(f"vertex {i} out of range")
-    xi = g.opinions[i]
-    xs = g.opinions[g.out_neighbors[i]]
-    return PullDecomposition(
-        sum_left=float(np.sum(np.where(xs < xi, xi - xs, 0.0))),
-        sum_right=float(np.sum(np.where(xs > xi, xs - xi, 0.0))),
-    )
+    left, right = _pulls(g.opinions, g.epsilons, [i])
+    return PullDecomposition(sum_left=float(left[0]), sum_right=float(right[0]))
 
 
 def pulls_all(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized left/right pulls for every vertex at once."""
-    x = g.opinions
-    d = x[None, :] - x[:, None]  # d[i, k] = x_k - x_i
-    mask = np.abs(d) <= g.epsilons[:, None]
-    right = np.where(mask & (d > 0.0), d, 0.0).sum(axis=1)
-    left = np.where(mask & (d < 0.0), -d, 0.0).sum(axis=1)
-    return left, right
+    return _pulls(g.opinions, g.epsilons, slice(None))
 
 
 def strongly_connected_components(g: InfluenceGraph) -> list[set[int]]:
@@ -173,9 +174,8 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
     parse_graph_json)."""
     if fmt == "dot":
         lines = ["digraph influence {"]
-        for i in range(g.n):
-            label = f"{i}|{repr(float(g.opinions[i]))}|{classify(float(g.epsilons[i])).value}"
-            lines.append(f'  {i} [label="{label}"];')
+        labels = zip(g.opinions.tolist(), classify_all(g.epsilons).tolist())
+        lines.extend(f'  {i} [label="{i}|{x!r}|{m}"];' for i, (x, m) in enumerate(labels))
         for i in range(g.n):
             for j in g.out_neighbors[i]:
                 if int(j) != i:

@@ -25,16 +25,14 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    Agent,
     DynamicsConfig,
     Mindedness,
     Population,
     SimulationResult,
-    _step_arrays,
-    count_clusters,
+    classify_all,
     simulate,
 )
-from .graph import InfluenceGraph, build_graph_arrays, classify, pulls_all
+from .graph import InfluenceGraph, build_graph_arrays, pull, pulls_all
 
 
 class Strategy(str, Enum):
@@ -86,16 +84,13 @@ def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     sum_right).  Returned left to right along the spectrum in original
     indices."""
     order = np.argsort(g.opinions, kind="stable")
-    minded = [classify(float(e)) for e in g.epsilons]
     left, right = pulls_all(g)
-    pairs = []
-    for a, b in zip(order[:-1], order[1:]):
-        i, j = int(a), int(b)
-        if minded[i] is not Mindedness.OPEN or minded[j] is not Mindedness.OPEN:
-            continue
-        if left[i] < right[i] and left[j] > right[j]:
-            pairs.append((i, j))
-    return pairs
+    open_ = classify_all(g.epsilons) == Mindedness.OPEN
+    to_right = open_ & (left < right)
+    to_left = open_ & (left > right)
+    a, b = order[:-1], order[1:]
+    hits = np.flatnonzero(to_right[a] & to_left[b])
+    return [(int(a[k]), int(b[k])) for k in hits]
 
 
 def compute_injection(
@@ -110,22 +105,12 @@ def compute_injection(
     are always >= 1 because qualification requires a strict imbalance.
     """
     i, j = pair
-    left_i, right_i = _pull_of(g, i)
-    left_j, right_j = _pull_of(g, j)
-    if not (left_i < right_i and left_j > right_j):
+    pi, pj = pull(g, i), pull(g, j)
+    if not (pi.sum_left < pi.sum_right and pj.sum_left > pj.sum_right):
         raise ValueError(f"pair ({i}, {j}) is not a converging pair")
-    ev_left = _batch(g, i, right_i - left_i, Side.LEFT)
-    ev_right = _batch(g, j, left_j - right_j, Side.RIGHT)
+    ev_left = _batch(g, i, pi.sum_right - pi.sum_left, Side.LEFT)
+    ev_right = _batch(g, j, pj.sum_left - pj.sum_right, Side.RIGHT)
     return ev_left, ev_right
-
-
-def _pull_of(g: InfluenceGraph, i: int) -> tuple[float, float]:
-    xi = g.opinions[i]
-    xs = g.opinions[g.out_neighbors[i]]
-    return (
-        float(np.sum(np.where(xs < xi, xi - xs, 0.0))),
-        float(np.sum(np.where(xs > xi, xs - xi, 0.0))),
-    )
 
 
 def _batch(g: InfluenceGraph, anchor: int, imbalance: float, side: Side) -> PlacementEvent:
@@ -155,95 +140,47 @@ def run_with_placement(
     """Run the dynamics with injections; returns the result and the full
     event log.  With budget 0 both strategies reduce exactly to a plain
     simulate."""
-    if place.budget == 0:
-        return simulate(pop, dyn), []
     if place.strategy is Strategy.RANDOM_AT_START:
-        return _run_random(pop, dyn, place)
-    return _run_intelligent(pop, dyn, place)
-
-
-def _run_random(pop, dyn, place):
-    rng = np.random.default_rng(place.rng_seed)
-    x0 = pop.opinions
-    lo, hi = float(x0.min()), float(x0.max())
-    draws = rng.uniform(lo, hi, place.budget)
-    events = [
-        PlacementEvent(
-            time=0,
-            opinion=float(d),
-            requested_opinion=float(d),
-            count=1,
-            anchor_agent=-1,
-            side=None,
-            clamped=False,
-        )
-        for d in draws
-    ]
-    new = [
-        Agent(id=pop.n + k, opinion=float(d), epsilon=place.epsilon_new, injected=True)
-        for k, d in enumerate(draws)
-    ]
-    return simulate(pop.extended(new), dyn), events
-
-
-def _run_intelligent(pop, dyn, place):
-    x = pop.opinions.copy()
-    eps = pop.epsilons.copy()
-    agents = list(pop.agents)
-    budget = place.budget
+        rng = np.random.default_rng(place.rng_seed)
+        x0 = pop.opinions
+        draws = rng.uniform(float(x0.min()), float(x0.max()), place.budget)
+        events = [
+            PlacementEvent(
+                time=0,
+                opinion=d,
+                requested_opinion=d,
+                count=1,
+                anchor_agent=-1,
+                side=None,
+                clamped=False,
+            )
+            for d in draws.tolist()
+        ]
+        return simulate(pop.extended(draws, place.epsilon_new), dyn), events
     events: list[PlacementEvent] = []
-    traj: list[np.ndarray] = []
-    t_eqm = None
-    for t in range(dyn.max_steps):
-        injected_now = False
-        if budget > 0:
-            g = build_graph_arrays(x, eps, t)
-            step_events = []
-            for pair in find_converging_pairs(g):
-                ev_left, ev_right = compute_injection(g, pair)
-                if budget < ev_left.count:
-                    break  # unaffordable batch ends this step's scan
-                step_events.append(ev_left)
-                budget -= ev_left.count
-                if budget < ev_right.count:
-                    break
-                step_events.append(ev_right)
-                budget -= ev_right.count
-            if step_events:
-                injected_now = True
-                events.extend(step_events)
-                adds = []
-                for ev in step_events:
-                    for _ in range(ev.count):
-                        adds.append(
-                            Agent(
-                                id=len(agents) + len(adds),
-                                opinion=ev.opinion,
-                                epsilon=place.epsilon_new,
-                                injected=True,
-                            )
-                        )
-                x = np.concatenate([x, [a.opinion for a in adds]])
-                eps = np.concatenate([eps, [a.epsilon for a in adds]])
-                agents.extend(adds)
-        traj.append(x)
-        x1 = _step_arrays(x, eps, dyn.rule, dyn.w_own)
-        quiet = float(np.max(np.abs(x1 - x))) <= dyn.delta
-        if not injected_now and quiet:
-            t_eqm = t
-            traj.append(x1)
-            break
-        x = x1
-    else:
-        traj.append(x)
-    result = SimulationResult(
-        trajectory=traj,
-        t_eqm=t_eqm,
-        converged=t_eqm is not None,
-        c_eqm=count_clusters(traj[-1], dyn.cluster_tol),
-        agents=agents,
-    )
-    return result, events
+    budget = place.budget
+
+    def intervene(t, x, eps):
+        # every pair and batch of step t is judged on the frozen
+        # start-of-step graph; an unaffordable batch ends the scan
+        nonlocal budget
+        if budget == 0:
+            return None
+        g = build_graph_arrays(x, eps, t)
+        offers = (ev for pair in find_converging_pairs(g) for ev in compute_injection(g, pair))
+        batches = []
+        for ev in offers:
+            if budget < ev.count:
+                break
+            batches.append(ev)
+            budget -= ev.count
+        if not batches:
+            return None
+        events.extend(batches)
+        opinions = np.repeat([ev.opinion for ev in batches], [ev.count for ev in batches])
+        return opinions, place.epsilon_new
+
+    return simulate(pop, dyn, intervene), events
 
 
 def budget_spent(events: list[PlacementEvent]) -> int:

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Agent, Mindedness, Population
+from .core import Mindedness, Population
 
 NORMAL_MEAN = 0.5
 NORMAL_SD = 0.125
@@ -127,35 +127,28 @@ def transform(
     from_class = Mindedness(from_class)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    pool = [i for i, a in enumerate(pop.agents) if a.mindedness is from_class]
+    pool = np.flatnonzero(pop.mindedness == from_class)
     k = round_half_up(fraction * len(pool))
-    chosen: set[int] = set()
+    eps = pop.epsilons.copy()
     if k:
         rng = np.random.default_rng(rng_seed)
-        chosen = set(int(i) for i in rng.choice(np.array(pool), size=k, replace=False))
-    out = []
-    for i, a in enumerate(pop.agents):
-        if i in chosen:
-            out.append(Agent(id=a.id, opinion=a.opinion, epsilon=float(epsilon_new), injected=a.injected))
-        else:
-            out.append(a)
-    return Population(out)
+        eps[rng.choice(pool, size=k, replace=False)] = float(epsilon_new)
+    return replace(pop, epsilons=eps)
 
 
 def write_population_csv(pop: Population) -> str:
+    rows = zip(
+        pop.ids.tolist(),
+        pop.opinions.tolist(),
+        pop.epsilons.tolist(),
+        pop.mindedness.tolist(),
+        pop.injected.tolist(),
+    )
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["agent_id", "opinion", "epsilon", "mindedness", "injected"])
-    for a in pop.agents:
-        w.writerow(
-            [
-                a.id,
-                repr(float(a.opinion)),
-                repr(float(a.epsilon)),
-                a.mindedness.value,
-                "true" if a.injected else "false",
-            ]
-        )
+    buf.write("agent_id,opinion,epsilon,mindedness,injected\n")
+    buf.writelines(
+        f"{i},{x!r},{e!r},{m},{'true' if f else 'false'}\n" for i, x, e, m, f in rows
+    )
     return buf.getvalue()
 
 
@@ -163,16 +156,12 @@ def read_population_csv(text: str) -> Population:
     rows = list(csv.DictReader(io.StringIO(text)))
     if not rows:
         raise ValueError("population csv has no rows")
-    agents = [
-        Agent(
-            id=int(r["agent_id"]),
-            opinion=float(r["opinion"]),
-            epsilon=float(r["epsilon"]),
-            injected=r["injected"] == "true",
-        )
-        for r in rows
-    ]
-    return Population(agents)
+    return Population(
+        opinions=[float(r["opinion"]) for r in rows],
+        epsilons=[float(r["epsilon"]) for r in rows],
+        injected=[r["injected"] == "true" for r in rows],
+        ids=[int(r["agent_id"]) for r in rows],
+    )
 
 
 def scaled(spec: MixtureSpec, n: int) -> MixtureSpec:

@@ -159,8 +159,8 @@ def _mixed_cluster_seeds(fractions):
         result = simulate(pop)
         labels = cluster_labels(result.trajectory[-1])
         members = {}
-        for agent, label in zip(result.agents, labels):
-            members.setdefault(label, set()).add(agent.mindedness)
+        for minded, label in zip(result.agents.mindedness, labels):
+            members.setdefault(label, set()).add(M(minded))
         if any({M.CLOSE, M.OPEN} <= kinds for kinds in members.values()):
             hits += 1
     return hits
@@ -256,7 +256,7 @@ def _battery_budget(rng):
     spent = budget_spent(events)
     return (
         spent <= budget
-        and len(result.agents) == pop.n + spent
+        and result.agents.n == pop.n + spent
         and all(e.count >= 1 for e in events)
         and all(0.0 <= e.opinion <= 1.0 for e in events)
     )
@@ -331,10 +331,10 @@ def test_criterion_9_open_core_with_pendant_closes():
         open_comps = sum(
             1
             for comp in components
-            if any(pop.agents[v].mindedness is M.OPEN for v in comp)
+            if any(pop.mindedness[v] == M.OPEN for v in comp)
         )
         single_scc += open_comps == 1
-        closes = [i for i, a in enumerate(pop.agents) if a.mindedness is M.CLOSE]
+        closes = np.flatnonzero(pop.mindedness == M.CLOSE).tolist()
         # pendant in-vertex or fully isolated: either way the only
         # out-edge is the self-loop
         lonely = sum(1 for i in closes if g.out_neighbors[i].tolist() == [i])

@@ -233,6 +233,30 @@ class TestExitCodes:
         assert run_cli(["gen"]) == 1
         capsys.readouterr()
 
+    def test_nan_epsilon_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"population": {"kind": "evenly_spaced", "n": 5, "epsilon": NaN}}')
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+        assert "epsilon must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "population.csv").exists()
+
+    def test_unknown_population_key_rejected(self, tmp_path, capsys):
+        cfg = {"population": {**MIX["population"], "rng_sed": 7}}
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["gen", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "rng_sed" in capsys.readouterr().err
+
+    def test_unknown_sweep_key_rejected(self, tmp_path, capsys):
+        cfg = {"kind": "epsilon_sweep", "grid": [0.3], "population_sizes": [10], "run": 2}
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "'run'" in capsys.readouterr().err
+
+    def test_negative_graph_step_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {**SPACED3, "step": -1})
+        assert run_cli(["graph", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "step" in capsys.readouterr().err
+
     def test_output_path_through_file(self, tmp_path):
         cfg = write_cfg(tmp_path, SPACED3)
         blocker = tmp_path / "blocker"

@@ -5,12 +5,12 @@ import pytest
 
 import oracles
 from echosim import (
-    Agent,
     DynamicsConfig,
     Mindedness,
     Population,
     Rule,
     classify,
+    classify_all,
     cluster_labels,
     count_clusters,
     neighborhood,
@@ -54,35 +54,73 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(-0.1)
 
+    def test_non_finite_epsilon_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                classify(bad)
+            with pytest.raises(ValueError):
+                classify_all([0.2, bad])
+
+    def test_vectorised_matches_scalar(self):
+        eps = [0.0, 0.01, 0.169999, 0.17, 0.2, 0.22, 0.220001, 0.45, 1.0]
+        labels = classify_all(eps)
+        assert labels.tolist() == [classify(e).value for e in eps]
+        # label arrays compare against members by value
+        assert (labels == Mindedness.OPEN).tolist() == [classify(e) is Mindedness.OPEN for e in eps]
+
 
 class TestAgent:
     def test_mindedness_derived(self):
-        a = Agent(id=0, opinion=0.5, epsilon=0.45)
-        assert a.mindedness is Mindedness.OPEN
-        assert not a.injected
+        pop = Population.from_arrays([0.5], [0.45])
+        assert pop.mindedness[0] == Mindedness.OPEN
+        assert not pop.injected[0]
 
     def test_opinion_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            Agent(id=0, opinion=1.5, epsilon=0.1)
-        with pytest.raises(ValueError):
-            Agent(id=0, opinion=-0.1, epsilon=0.1)
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                Population.from_arrays([bad], [0.1])
 
 
 class TestPopulation:
     def test_unique_ids_required(self):
-        a = Agent(id=0, opinion=0.1, epsilon=0.1)
         with pytest.raises(ValueError):
-            Population([a, a])
+            Population([0.1, 0.2], [0.1, 0.1], ids=[0, 0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Population([])
+            Population([], [])
 
     def test_arrays_match_agents(self):
         pop = ten_agent_pop()
         assert pop.n == 10
         assert np.array_equal(pop.opinions, np.array(TEN))
         assert np.all(pop.epsilons == 0.25)
+        assert pop.ids.tolist() == list(range(10))
+        assert not pop.injected.any()
+
+    def test_non_finite_epsilon_rejected(self):
+        with pytest.raises(ValueError):
+            Population.from_arrays([0.5], [float("nan")])
+        with pytest.raises(ValueError):
+            Population.from_arrays([0.5], [-0.1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            Population.from_arrays([0.1, 0.2], [0.1])
+
+    def test_arrays_read_only_and_copied(self):
+        x = np.array([0.1, 0.2])
+        pop = Population.from_arrays(x, [0.1, 0.1])
+        x[0] = 0.9
+        assert pop.opinions[0] == 0.1
+        with pytest.raises(ValueError):
+            pop.opinions[0] = 0.5
+
+    def test_extended_appends_injected(self):
+        pop = Population.from_arrays([0.1, 0.2], [0.01, 0.45]).extended([0.5, 0.6], 0.2)
+        assert pop.ids.tolist() == [0, 1, 2, 3]
+        assert pop.injected.tolist() == [False, False, True, True]
+        assert pop.mindedness.tolist() == ["close", "open", "moderate", "moderate"]
 
 
 class TestNeighborhood:
@@ -238,6 +276,26 @@ class TestSimulate:
         assert r.t_eqm == t_eqm
         for got, want in zip(r.trajectory, traj):
             assert np.max(np.abs(got - np.array(want))) <= 1e-9
+
+    def test_intervene_none_is_plain_run(self):
+        pop = Population.from_arrays(np.linspace(0, 1, 30), [0.2] * 30)
+        plain = simulate(pop)
+        seen = []
+        r = simulate(pop, intervene=lambda t, x, eps: seen.append(t))
+        assert seen == list(range(r.t_eqm + 1))
+        assert r.t_eqm == plain.t_eqm and r.agents is pop
+        for a, b in zip(r.trajectory, plain.trajectory):
+            assert np.array_equal(a, b)
+
+    def test_intervene_appends_agents_before_step(self):
+        pop = Population.from_arrays([0.0, 0.5, 1.0], [0.5] * 3)
+        r = simulate(pop, intervene=lambda t, x, eps: ([0.2], 0.5) if t == 1 else None)
+        assert [len(p) for p in r.trajectory] == [3] + [4] * (len(r.trajectory) - 1)
+        assert r.trajectory[1][3] == 0.2
+        assert r.converged and r.t_eqm > 1
+        assert r.agents.ids.tolist() == [0, 1, 2, 3]
+        assert r.agents.injected.tolist() == [False, False, False, True]
+        assert r.agents.epsilons.tolist() == [0.5, 0.5, 0.5, 0.5]
 
 
 class TestClusters:

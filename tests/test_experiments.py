@@ -1,0 +1,27 @@
+"""Every experiment config reproduces its committed results byte for byte."""
+
+from pathlib import Path
+
+import pytest
+
+from echosim.cli import build_parser, dispatch
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "experiments").glob("*.json"))
+
+
+def test_every_config_has_results():
+    assert CONFIGS
+    assert {c.stem for c in CONFIGS} == {d.name for d in (ROOT / "results").iterdir()}
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_sweep_reproduces_results(config, tmp_path):
+    args = build_parser().parse_args(
+        ["sweep", "--config", str(config), "--out", str(tmp_path), "--quiet"]
+    )
+    assert dispatch(args) == 0
+    want = ROOT / "results" / config.stem
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -105,8 +105,8 @@ class TestPull:
         left, right = pulls_all(g)
         for i in range(g.n):
             p = pull(g, i)
-            assert abs(left[i] - p.sum_left) <= 1e-12
-            assert abs(right[i] - p.sum_right) <= 1e-12
+            assert p.sum_left == left[i]
+            assert p.sum_right == right[i]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -303,6 +303,19 @@ def test_pull_signs_coherent(inst):
         lo, ro = oracles.pulls(list(x), list(eps), i)
         assert abs(left[i] - lo) <= 1e-12
         assert abs(right[i] - ro) <= 1e-12
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=60),
+    st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.45]), min_size=60, max_size=60),
+)
+def test_pull_equals_pulls_all_exactly(cents, eps):
+    # opinions on a 0.01 grid: ties and boundary distances everywhere
+    g = build_graph_arrays([c / 100 for c in cents], eps[: len(cents)])
+    left, right = pulls_all(g)
+    for i in range(g.n):
+        p = pull(g, i)
+        assert (p.sum_left, p.sum_right) == (left[i], right[i])
 
 
 @given(

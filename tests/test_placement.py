@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from echosim import (
     DynamicsConfig,
+    MixtureSpec,
     PlacementConfig,
     Population,
     Side,
     Strategy,
     build_graph,
     budget_spent,
+    clipped_normal_mixture,
     compute_injection,
     find_converging_pairs,
     run_with_placement,
@@ -147,7 +149,7 @@ class TestRunWithPlacement:
         # the left open sees the injected moderate at 0.0 (within 0.45),
         # gets dragged down and eventually everyone merges
         assert result.converged and result.c_eqm == 1
-        assert result.agents[-1].injected and result.agents[-1].epsilon == 0.2
+        assert result.agents.injected[-1] and result.agents.epsilons[-1] == 0.2
 
     def test_both_batches_fit(self):
         pop = self.base()
@@ -171,9 +173,8 @@ class TestRunWithPlacement:
         result, events = run_with_placement(
             pop, DynamicsConfig(), PlacementConfig(budget=4)
         )
-        ids = [a.id for a in result.agents]
-        assert ids == list(range(len(ids)))
-        assert all(a.injected for a in result.agents[2:])
+        assert result.agents.ids.tolist() == list(range(result.agents.n))
+        assert result.agents.injected[2:].all()
 
     def test_original_population_unmutated(self):
         pop = self.base()
@@ -235,9 +236,9 @@ class TestRandomAtStart:
 
     def test_injected_metadata(self):
         result, _ = run_with_placement(self.pop(), DynamicsConfig(), self.cfg())
-        injected = [a for a in result.agents if a.injected]
+        injected = result.agents.epsilons[result.agents.injected]
         assert len(injected) == 6
-        assert all(a.epsilon == 0.2 for a in injected)
+        assert np.all(injected == 0.2)
 
 
 class TestEventsCsv:
@@ -261,6 +262,19 @@ class TestEventsCsv:
         lines = write_events_csv(events).strip().split("\n")
         assert lines[1].split(",")[4] == "-1"
         assert lines[1].split(",")[5] == ""
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_evenly_spaced_ties_place_without_error(seed):
+    # evenly spaced opinions make many pulls tie exactly; the scan and the
+    # injection sizing must judge each pair on the same pull values
+    spec = MixtureSpec(
+        n=200, fractions={"close": 0.5, "open": 0.5}, opinion_dist="evenly_spaced", rng_seed=seed
+    )
+    pop = clipped_normal_mixture(spec)
+    result, events = run_with_placement(pop, DynamicsConfig(), PlacementConfig(budget=20))
+    assert budget_spent(events) <= 20
+    assert result.agents.n == pop.n + budget_spent(events)
 
 
 @st.composite
@@ -296,7 +310,7 @@ def test_budget_conservation(inst):
     for ev in events:
         assert ev.clamped == (not 0.0 <= ev.requested_opinion <= 1.0)
     # roster matches the spend
-    assert len(result.agents) == pop.n + budget_spent(events)
+    assert result.agents.n == pop.n + budget_spent(events)
 
 
 @given(placement_instances())

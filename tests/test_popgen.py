@@ -130,7 +130,7 @@ class TestMixture:
         )
         pop = clipped_normal_mixture(spec)
         assert np.all(pop.epsilons == 0.18)
-        assert all(a.mindedness is M.MODERATE for a in pop.agents)
+        assert np.all(pop.mindedness == M.MODERATE)
 
     def test_missing_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestMixture:
 
     def test_ids_sequential(self):
         pop = clipped_normal_mixture(mix_80_20(n=20))
-        assert [a.id for a in pop.agents] == list(range(20))
+        assert pop.ids.tolist() == list(range(20))
 
 
 class TestTransform:
@@ -151,27 +151,27 @@ class TestTransform:
     def test_fraction_one_converts_all(self):
         base = clipped_normal_mixture(mix_80_20())
         out = transform(base, M.CLOSE, 1.0, 0.2, rng_seed=3)
-        assert sum(1 for a in out.agents if a.mindedness is M.CLOSE) == 0
-        assert sum(1 for a in out.agents if a.mindedness is M.MODERATE) == 160
+        assert np.sum(out.mindedness == M.CLOSE) == 0
+        assert np.sum(out.mindedness == M.MODERATE) == 160
 
     def test_opinions_and_ids_unchanged(self):
         base = clipped_normal_mixture(mix_80_20())
         out = transform(base, M.CLOSE, 0.5, 0.2, rng_seed=4)
         assert np.array_equal(out.opinions, base.opinions)
-        assert [a.id for a in out.agents] == [a.id for a in base.agents]
+        assert np.array_equal(out.ids, base.ids)
 
     def test_count_rounds_half_up(self):
         base = clipped_normal_mixture(mix_80_20())  # 160 close
         out = transform(base, M.CLOSE, 0.253, 0.2, rng_seed=0)
-        converted = sum(1 for a in out.agents if a.mindedness is M.MODERATE)
+        converted = np.sum(out.mindedness == M.MODERATE)
         assert converted == round_half_up(0.253 * 160) == 40
 
     def test_only_from_class_touched(self):
         base = clipped_normal_mixture(mix_80_20())
         out = transform(base, M.CLOSE, 0.5, 0.2, rng_seed=4)
-        for a, b in zip(base.agents, out.agents):
-            if a.mindedness is M.OPEN:
-                assert b.epsilon == a.epsilon
+        opens = base.mindedness == M.OPEN
+        assert opens.any()
+        assert np.array_equal(out.epsilons[opens], base.epsilons[opens])
 
     def test_seeded_choice(self):
         base = clipped_normal_mixture(mix_80_20())
@@ -194,8 +194,8 @@ class TestPopulationCsv:
         again = read_population_csv(text)
         assert np.array_equal(again.opinions, base.opinions)
         assert np.array_equal(again.epsilons, base.epsilons)
-        assert [a.id for a in again.agents] == [a.id for a in base.agents]
-        assert [a.injected for a in again.agents] == [a.injected for a in base.agents]
+        assert np.array_equal(again.ids, base.ids)
+        assert np.array_equal(again.injected, base.injected)
 
     def test_header(self):
         text = write_population_csv(evenly_spaced(2, 0.1))
@@ -214,10 +214,7 @@ def test_mixture_counts_always_sum(n, seed):
     pop = clipped_normal_mixture(spec)
     counts = class_counts(spec)
     assert pop.n == n
-    got = {
-        m: sum(1 for a in pop.agents if a.mindedness is m)
-        for m in (M.CLOSE, M.MODERATE, M.OPEN)
-    }
+    got = {m: int(np.sum(pop.mindedness == m)) for m in (M.CLOSE, M.MODERATE, M.OPEN)}
     assert got == {m: counts.get(m, 0) for m in (M.CLOSE, M.MODERATE, M.OPEN)}
 
 
