@@ -82,6 +82,13 @@ _POPULATION_KEYS = {
     "csv": {"kind", "path", "transform"},
 }
 _TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
+# Top-level keys each subcommand reads (sweep configs use _SWEEP_KEYS).
+_COMMAND_KEYS = {
+    "gen": {"population"},
+    "simulate": {"population", "dynamics"},
+    "place": {"population", "dynamics", "placement"},
+    "graph": {"population", "dynamics", "step", "format"},
+}
 _SWEEP_KEYS = {
     "kind", "grid", "population_sizes", "runs", "transform_from", "transform_epsilon",
     "base_mixture", "dynamics", "placement",
@@ -96,10 +103,16 @@ def _check_keys(section: str, cfg: dict, allowed: set) -> None:
 
 def _apply_overrides(cfg: dict, args) -> dict:
     if args.seed is not None:
-        for key in ("population", "base_mixture"):
-            # only a mixture has a generation seed
-            if isinstance(cfg.get(key), dict) and cfg[key].get("kind", "mixture") == "mixture":
-                cfg[key]["rng_seed"] = args.seed
+        # only a mixture has a generation seed
+        seeded = [
+            key
+            for key in ("population", "base_mixture")
+            if isinstance(cfg.get(key), dict) and cfg[key].get("kind", "mixture") == "mixture"
+        ]
+        if not seeded:
+            raise ValueError("--seed needs a mixture population or base_mixture to seed")
+        for key in seeded:
+            cfg[key]["rng_seed"] = args.seed
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
@@ -175,6 +188,8 @@ def _summary_csv(result: SimulationResult, cap: int) -> str:
 
 def _run_command(command: str, cfg: dict) -> dict:
     """Build everything from the config and return filename -> text."""
+    if command in _COMMAND_KEYS:
+        _check_keys(f"{command} config", cfg, _COMMAND_KEYS[command])
     if command == "gen":
         pop = _population_from_config(cfg["population"])
         return {"population.csv": write_population_csv(pop)}
@@ -228,6 +243,8 @@ def dispatch(args) -> int:
         return 2
     try:
         cfg = json.loads(text)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
         cfg = _apply_overrides(cfg, args)
         outputs = _run_command(args.command, cfg)
     except (ValueError, KeyError, TypeError) as exc:

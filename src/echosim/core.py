@@ -57,6 +57,20 @@ def classify(epsilon: float) -> Mindedness:
     return Mindedness(str(classify_all(epsilon)))
 
 
+def require_finite(name: str, value) -> None:
+    """Reject anything but a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(name: str, value) -> None:
+    """Reject anything but an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _frozen(values, dtype) -> np.ndarray:
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
@@ -191,6 +205,9 @@ class DynamicsConfig:
 
     def __post_init__(self) -> None:
         self.rule = Rule(self.rule)
+        for name in ("delta", "w_own", "cluster_tol"):
+            require_finite(name, getattr(self, name))
+        require_int("max_steps", self.max_steps)
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
         if self.max_steps < 1:

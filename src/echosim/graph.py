@@ -7,6 +7,15 @@ pure function of the opinion profile and epsilons at one time instant;
 the structural analyses here (degrees, left/right pulls, strongly
 connected components, pendant in-vertices) drive both the cluster
 arguments and the placement scan.
+
+Sorted by opinion, every agent's out-neighbours form one contiguous
+window of the sort order, so a graph is held as that order plus two
+window bounds per agent: no edge list and no n x n mask.  Building is
+O(n log n), degrees and pendant in-vertices O(n), SCCs O(n log^2 n) at
+worst; export is linear in the edge count.  The pull sums still
+evaluate whole rows, O(n) per agent asked for, so that every pull is
+summed in one fixed order and the placement scan's exact comparisons
+hold.
 """
 
 from __future__ import annotations
@@ -32,39 +41,86 @@ class PullDecomposition:
     sum_right: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfluenceGraph:
-    n: int
-    out_neighbors: list
+    """A snapshot as sorted-window neighbourhoods.
+
+    order sorts the agents by opinion (stable); agent i's out-neighbours
+    are the agents at sorted positions lo[i] .. hi[i] - 1.
+    """
+
     opinions: np.ndarray
     epsilons: np.ndarray
+    order: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     timestamp: int = 0
+
+    @property
+    def n(self) -> int:
+        return len(self.opinions)
+
+    def neighbors(self, i: int) -> np.ndarray:
+        """Out-neighbours of vertex i in increasing index order."""
+        return np.sort(self.order[self.lo[i] : self.hi[i]])
+
+    @property
+    def out_neighbors(self) -> list[np.ndarray]:
+        """neighbors(i) for every vertex, built on each access: O(edges)
+        time and memory, for callers that want explicit lists."""
+        return [self.neighbors(i) for i in range(self.n)]
 
 
 def build_graph(pop: Population, t: int = 0) -> InfluenceGraph:
     return build_graph_arrays(pop.opinions, pop.epsilons, t)
 
 
+def _prefix_count(s: np.ndarray, holds) -> np.ndarray:
+    """Per agent, the length of the prefix of sorted opinions s on which
+    holds(s_p) is true; holds must be monotone (true, then false).
+    One vectorised bisection, descending powers of two."""
+    n = len(s)
+    count = np.zeros(n, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)  # the steps sum to at least n
+    while step:
+        cand = count + step
+        take = (cand <= n) & holds(s[np.minimum(cand, n) - 1])
+        count = np.where(take, cand, count)
+        step >>= 1
+    return count
+
+
 def build_graph_arrays(x, eps, t: int = 0) -> InfluenceGraph:
-    x = np.asarray(x, dtype=float)
-    eps = np.asarray(eps, dtype=float)
+    """Window bounds on the exact predicate |x_j - x_i| <= eps_i.  fl(s - x_i)
+    is monotone in the sorted opinion s, so the agents below the window
+    (s - x_i < -eps_i) and those up to its end (s - x_i <= eps_i) are both
+    prefixes of the sort order; ties and rounding fall where the dense
+    predicate puts them."""
+    x = np.array(x, dtype=float)
+    eps = np.array(eps, dtype=float)
     if x.size == 0:
         raise ValueError("graph needs at least one agent")
-    mask = np.abs(x[None, :] - x[:, None]) <= eps[:, None]
-    out = [np.nonzero(mask[i])[0] for i in range(len(x))]
-    return InfluenceGraph(
-        n=len(x), out_neighbors=out, opinions=x.copy(), epsilons=eps.copy(), timestamp=t
-    )
+    if x.shape != eps.shape or x.ndim != 1:
+        raise ValueError("opinions and epsilons must be 1-d and of equal length")
+    if not (np.isfinite(x).all() and np.isfinite(eps).all() and (eps >= 0.0).all()):
+        raise ValueError("opinions must be finite and epsilons finite and nonnegative")
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    lo = _prefix_count(s, lambda sp: sp - x < -eps)
+    hi = _prefix_count(s, lambda sp: sp - x <= eps)
+    return InfluenceGraph(x, eps, order, lo, hi, t)
 
 
 def out_degrees(g: InfluenceGraph) -> np.ndarray:
-    return np.array([len(nb) for nb in g.out_neighbors], dtype=int)
+    return g.hi - g.lo
 
 
 def in_degrees(g: InfluenceGraph) -> np.ndarray:
-    deg = np.zeros(g.n, dtype=int)
-    for nb in g.out_neighbors:
-        deg[nb] += 1
+    # each window adds one to the positions it covers: a difference array
+    n = g.n
+    cover = np.cumsum(np.bincount(g.lo, minlength=n + 1) - np.bincount(g.hi, minlength=n + 1))
+    deg = np.empty(n, dtype=np.intp)
+    deg[g.order] = cover[:n]
     return deg
 
 
@@ -90,72 +146,55 @@ def pulls_all(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
     return _pulls(g.opinions, g.epsilons, slice(None))
 
 
+def _range_reduce(ufunc, values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(values[a_k:b_k]) for every query k (all b > a), from
+    a sparse table: level k holds the reduction over 2**k entries."""
+    n = len(values)
+    table = [values]
+    span = 1
+    while 2 * span <= n:
+        prev = table[-1]
+        table.append(np.concatenate([ufunc(prev[:-span], prev[span:]), prev[n - span :]]))
+        span *= 2
+    table = np.stack(table)
+    level = np.frexp(b - a)[1] - 1  # floor(log2(b - a))
+    return ufunc(table[level, a], table[level, b - (1 << level)])
+
+
+def _reach_ranges(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per sorted position, the range [L, H) of sorted positions it can
+    reach.  Every window holds its own vertex, so reach sets are ranges;
+    each round replaces a range by the union of the ranges of what it
+    covers, doubling the path length, until nothing moves."""
+    L, H = g.lo[g.order], g.hi[g.order]
+    while True:
+        L2 = _range_reduce(np.minimum, L, L, H)
+        H2 = _range_reduce(np.maximum, H, L, H)
+        if np.array_equal(L2, L) and np.array_equal(H2, H):
+            return L, H
+        L, H = L2, H2
+
+
 def strongly_connected_components(g: InfluenceGraph) -> list[set[int]]:
-    """Tarjan SCCs, iterative so deep chains cannot hit the recursion
-    limit.  Components are returned as a partition ordered by their
-    smallest vertex."""
-    n = g.n
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[set[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            descended = False
-            nbrs = g.out_neighbors[v]
-            for k in range(pi, len(nbrs)):
-                w = int(nbrs[k])
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    comps.sort(key=min)
-    return comps
+    """Two vertices share an SCC exactly when their reach ranges are
+    equal: each lies in its own range, so each reaches the other.
+    Components are returned as a partition ordered by their smallest
+    vertex."""
+    L, H = _reach_ranges(g)
+    key = np.empty(g.n, dtype=np.int64)
+    key[g.order] = L * (g.n + 1) + H
+    comps: dict[int, set[int]] = {}  # first seen, so ordered by smallest vertex
+    for v, k in enumerate(key.tolist()):
+        comps.setdefault(k, set()).add(v)
+    return list(comps.values())
 
 
 def pendant_in_vertices(g: InfluenceGraph) -> set[int]:
     """Vertices whose only out-edge is the self-loop but that at least
     one other vertex points to: the signature of a close-minded agent
     sitting inside an open crowd."""
-    indeg = np.zeros(g.n, dtype=int)
-    for i, nb in enumerate(g.out_neighbors):
-        for j in nb:
-            if j != i:
-                indeg[j] += 1
-    return {
-        i
-        for i in range(g.n)
-        if len(g.out_neighbors[i]) == 1 and indeg[i] >= 1
-    }
+    pendant = (out_degrees(g) == 1) & (in_degrees(g) >= 2)  # self-loop counts once
+    return set(np.flatnonzero(pendant).tolist())
 
 
 def regular_degree_check(n: int, epsilon: float) -> int:
@@ -168,6 +207,13 @@ def regular_degree_check(n: int, epsilon: float) -> int:
     return min(n, 2 * int(np.floor(epsilon * (n - 1))) + 1)
 
 
+def _edge_lines(g: InfluenceGraph, i: int, names: np.ndarray) -> str:
+    # one join per source over pre-formatted target names (an object array)
+    nb = g.neighbors(i)
+    head = f"  {i} -> "
+    return head + f";\n{head}".join(names[nb[nb != i]].tolist()) + ";"
+
+
 def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
     """Render the graph as DOT (self-loops omitted, vertex labels
     id|opinion|mindedness) or JSON (self-loops kept; round-trips through
@@ -176,10 +222,8 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
         lines = ["digraph influence {"]
         labels = zip(g.opinions.tolist(), classify_all(g.epsilons).tolist())
         lines.extend(f'  {i} [label="{i}|{x!r}|{m}"];' for i, (x, m) in enumerate(labels))
-        for i in range(g.n):
-            for j in g.out_neighbors[i]:
-                if int(j) != i:
-                    lines.append(f"  {i} -> {int(j)};")
+        names = np.array([str(j) for j in range(g.n)], dtype=object)
+        lines.extend(_edge_lines(g, i, names) for i in np.flatnonzero(out_degrees(g) > 1).tolist())
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
@@ -194,29 +238,29 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
                 }
                 for i in range(g.n)
             ],
-            "edges": [[i, int(j)] for i in range(g.n) for j in g.out_neighbors[i]],
+            "edges": _edge_list(g),
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
 
 
+def _edge_list(g: InfluenceGraph) -> list[list[int]]:
+    return [[i, j] for i in range(g.n) for j in g.neighbors(i).tolist()]
+
+
 def parse_graph_json(text: str) -> InfluenceGraph:
-    """Rebuild a graph from its JSON export; edges are taken as given,
-    not recomputed, so export -> parse -> export is the identity."""
+    """Rebuild a graph from its JSON export.  The graph is recomputed from
+    the opinions and epsilons, and the edge list must agree with it, so
+    export -> parse -> export is the identity."""
     payload = json.loads(text)
     n = int(payload["n"])
     verts = payload["vertices"]
     if len(verts) != n:
         raise ValueError("vertex count does not match n")
-    opinions = np.array([v["opinion"] for v in verts], dtype=float)
-    epsilons = np.array([v["epsilon"] for v in verts], dtype=float)
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i, j in payload["edges"]:
-        out[int(i)].append(int(j))
-    return InfluenceGraph(
-        n=n,
-        out_neighbors=[np.array(sorted(nb), dtype=int) for nb in out],
-        opinions=opinions,
-        epsilons=epsilons,
-        timestamp=int(payload["t"]),
+    g = build_graph_arrays(
+        [v["opinion"] for v in verts], [v["epsilon"] for v in verts], int(payload["t"])
     )
+    edges = sorted([int(i), int(j)] for i, j in payload["edges"])
+    if edges != _edge_list(g):
+        raise ValueError("edge list disagrees with |x_j - x_i| <= eps_i")
+    return g

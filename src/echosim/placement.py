@@ -30,9 +30,11 @@ from .core import (
     Population,
     SimulationResult,
     classify_all,
+    require_finite,
+    require_int,
     simulate,
 )
-from .graph import InfluenceGraph, build_graph_arrays, pull, pulls_all
+from .graph import InfluenceGraph, _pulls, build_graph_arrays, pull
 
 
 class Strategy(str, Enum):
@@ -54,6 +56,8 @@ class PlacementConfig:
 
     def __post_init__(self) -> None:
         self.strategy = Strategy(self.strategy)
+        require_int("budget", self.budget)
+        require_finite("epsilon_new", self.epsilon_new)
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
         if not 0.0 <= self.epsilon_new <= 1.0:
@@ -83,14 +87,18 @@ def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     right (sum_left < sum_right) and j net-pulled left (sum_left >
     sum_right).  Returned left to right along the spectrum in original
     indices."""
-    order = np.argsort(g.opinions, kind="stable")
-    left, right = pulls_all(g)
-    open_ = classify_all(g.epsilons) == Mindedness.OPEN
-    to_right = open_ & (left < right)
-    to_left = open_ & (left > right)
+    x, eps, order = g.opinions, g.epsilons, g.order
+    open_ = classify_all(eps) == Mindedness.OPEN
     a, b = order[:-1], order[1:]
-    hits = np.flatnonzero(to_right[a] & to_left[b])
-    return [(int(a[k]), int(b[k])) for k in hits]
+    # pulls only for the rows that can qualify: open agents whose sorted
+    # successor is open and not a twin (equal opinion and epsilon give
+    # equal pulls), then the successors of those net-pulled right
+    k = np.flatnonzero(open_[a] & open_[b] & ((x[a] != x[b]) | (eps[a] != eps[b])))
+    left, right = _pulls(x, eps, a[k])
+    k = k[left < right]
+    left, right = _pulls(x, eps, b[k])
+    k = k[left > right]
+    return list(zip(a[k].tolist(), b[k].tolist()))
 
 
 def compute_injection(

@@ -2,7 +2,7 @@
 
 Everything here is plain-Python loops over lists, written without
 looking at the package internals: no shared helpers, no numpy
-vectorization, SCCs via Kosaraju instead of Tarjan.  Slow on purpose;
+vectorization, SCCs via Kosaraju instead of reach ranges.  Slow on purpose;
 tests keep the instances small.
 """
 

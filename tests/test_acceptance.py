@@ -236,7 +236,7 @@ def _battery_graph_coherence(rng):
     pop = _random_population(rng)
     g = build_graph(pop)
     return all(
-        set(g.out_neighbors[i].tolist()) == neighborhood(pop, i)
+        set(g.neighbors(i).tolist()) == neighborhood(pop, i)
         for i in range(pop.n)
     )
 
@@ -292,7 +292,7 @@ def _battery_regular_degree(rng):
     g = build_graph(evenly_spaced(n, eps))
     k = regular_degree_check(n, eps)
     half = (k - 1) // 2
-    degrees = [len(g.out_neighbors[i]) for i in range(n)]
+    degrees = [len(g.neighbors(i)) for i in range(n)]
     return all(degrees[i] == k for i in range(half, n - half))
 
 
@@ -337,7 +337,7 @@ def test_criterion_9_open_core_with_pendant_closes():
         closes = np.flatnonzero(pop.mindedness == M.CLOSE).tolist()
         # pendant in-vertex or fully isolated: either way the only
         # out-edge is the self-loop
-        lonely = sum(1 for i in closes if g.out_neighbors[i].tolist() == [i])
+        lonely = sum(1 for i in closes if g.neighbors(i).tolist() == [i])
         fractions.append(lonely / len(closes))
     ok = single_scc == 5 and all(f >= 0.9 for f in fractions)
     _report(

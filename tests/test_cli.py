@@ -257,6 +257,54 @@ class TestExitCodes:
         assert run_cli(["graph", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
         assert "step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("gen", {**MIX, "populaton": {}}),
+            ("simulate", {**SPACED3, "dynamcis": {"max_steps": 1}}),
+            ("place", {**SPACED3, "placement": {"budget": 1}, "placment": {"budget": 9}}),
+            ("graph", {**SPACED3, "fromat": "json"}),
+        ],
+    )
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys, command, cfg):
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        typo = (set(cfg) - {"population", "placement"}).pop()
+        assert repr(typo) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("dynamics", {"delta": float("nan")}),
+            ("dynamics", {"w_own": float("nan")}),
+            ("dynamics", {"cluster_tol": float("inf")}),
+            ("dynamics", {"max_steps": True}),
+            ("dynamics", {"max_steps": 2.5}),
+            ("placement", {"budget": True}),
+            ("placement", {"epsilon_new": float("nan")}),
+        ],
+    )
+    def test_strict_numbers_rejected(self, tmp_path, capsys, section, values):
+        cfg = {**SPACED3, "dynamics": {}, "placement": {"budget": 1}}
+        cfg[section] = {**cfg[section], **values}
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["place", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        (name,) = values
+        assert name in capsys.readouterr().err
+
+    def test_seed_without_mixture_rejected(self, tmp_path, capsys):
+        # neither an evenly spaced nor a csv population has a seed to set
+        spaced = write_cfg(tmp_path, SPACED3)
+        assert run_cli(["simulate", "--config", spaced, "--out", str(tmp_path), "--seed", "7"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        run_cli(["gen", "--config", write_cfg(tmp_path, MIX, "mix.json"), "--out", str(tmp_path), "--quiet"])
+        from_csv = write_cfg(
+            tmp_path, {"population": {"kind": "csv", "path": str(tmp_path / "population.csv")}}, "csv.json"
+        )
+        assert run_cli(["gen", "--config", from_csv, "--out", str(tmp_path / "b"), "--seed", "7"]) == 1
+        assert not (tmp_path / "summary.csv").exists() and not (tmp_path / "b").exists()
+
     def test_output_path_through_file(self, tmp_path):
         cfg = write_cfg(tmp_path, SPACED3)
         blocker = tmp_path / "blocker"

@@ -1,6 +1,7 @@
 """Unit, golden and property tests for the influence-graph module."""
 
 import json
+import time
 
 import networkx as nx
 import numpy as np
@@ -10,9 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 from echosim import (
+    Mindedness,
+    MixtureSpec,
     Population,
     build_graph,
+    classify_all,
+    clipped_normal_mixture,
     export_graph,
+    find_converging_pairs,
     in_degrees,
     neighborhood,
     out_degrees,
@@ -42,15 +48,14 @@ def to_networkx(g):
     h = nx.DiGraph()
     h.add_nodes_from(range(g.n))
     for i in range(g.n):
-        for j in g.out_neighbors[i]:
-            h.add_edge(i, int(j))
+        h.add_edges_from((i, j) for j in g.neighbors(i).tolist())
     return h
 
 
 class TestBuild:
     def test_three_agent_structure(self):
         g = tri_graph()
-        assert [list(map(int, nb)) for nb in g.out_neighbors] == [[0, 1], [0, 1], [0, 1, 2]]
+        assert [g.neighbors(i).tolist() for i in range(g.n)] == [[0, 1], [0, 1], [0, 1, 2]]
 
     def test_out_degree_matches_neighborhood_size(self):
         pop = Population.from_arrays(TEN, [0.25] * 10)
@@ -63,13 +68,22 @@ class TestBuild:
     def test_single_agent(self):
         g = build_graph_arrays([0.5], [0.1])
         assert g.n == 1
-        assert list(g.out_neighbors[0]) == [0]
+        assert g.neighbors(0).tolist() == [0]
         assert strongly_connected_components(g) == [{0}]
         assert pendant_in_vertices(g) == set()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_graph_arrays([], [])
+
+    @pytest.mark.parametrize(
+        "x, eps",
+        [([0.5, np.nan], [0.1, 0.1]), ([0.5, 0.6], [0.1, np.inf]), ([0.5, 0.6], [0.1, -0.1]), ([0.5], [0.1, 0.1])],
+    )
+    def test_bad_inputs_rejected(self, x, eps):
+        # the window bounds assume finite opinions and finite nonnegative eps
+        with pytest.raises(ValueError):
+            build_graph_arrays(x, eps)
 
     def test_in_degrees(self):
         g = tri_graph()
@@ -142,7 +156,7 @@ class TestScc:
             eps = rng.uniform(0, 0.5, n)
             g = build_graph_arrays(x, eps)
             got = {frozenset(c) for c in strongly_connected_components(g)}
-            adj = [list(map(int, nb)) for nb in g.out_neighbors]
+            adj = [g.neighbors(i).tolist() for i in range(g.n)]
             assert got == oracles.sccs_kosaraju(adj)
             assert got == {frozenset(c) for c in nx.strongly_connected_components(to_networkx(g))}
 
@@ -244,6 +258,34 @@ class TestExport:
         with pytest.raises(ValueError):
             parse_graph_json(json.dumps(payload))
 
+    def test_parse_rejects_edges_off_the_predicate(self):
+        payload = json.loads(export_graph(tri_graph(), "json"))
+        payload["edges"].remove([2, 0])
+        with pytest.raises(ValueError, match="edge list"):
+            parse_graph_json(json.dumps(payload))
+        payload["edges"] += [[2, 0], [0, 2]]
+        with pytest.raises(ValueError, match="edge list"):
+            parse_graph_json(json.dumps(payload))
+
+
+def test_graph_layer_scales_near_linearly():
+    # n = 1e5: a dense n x n float array would need 80 GB; the windows,
+    # degrees, reach ranges and pendant scan stay near-linear
+    n = 100_000
+    pop = clipped_normal_mixture(
+        MixtureSpec(n=n, fractions={"close": 0.4, "moderate": 0.2, "open": 0.4}, rng_seed=0)
+    )
+    start = time.perf_counter()
+    g = build_graph(pop)
+    out, inn = out_degrees(g), in_degrees(g)
+    comps = strongly_connected_components(g)
+    pendant = pendant_in_vertices(g)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"graph layer took {elapsed:.2f} s at n = {n}"
+    assert out.sum() == inn.sum() and out.min() >= 1
+    assert sum(len(c) for c in comps) == n
+    assert all(out[i] == 1 for i in pendant)
+
 
 @st.composite
 def graph_instances(draw):
@@ -267,7 +309,7 @@ def test_edges_coincide_with_neighborhoods(inst):
     pop = Population.from_arrays(x, eps)
     g = build_graph(pop)
     for i in range(g.n):
-        assert set(map(int, g.out_neighbors[i])) == neighborhood(pop, i)
+        assert set(g.neighbors(i).tolist()) == neighborhood(pop, i)
 
 
 @given(graph_instances())
@@ -275,7 +317,7 @@ def test_self_loop_everywhere(inst):
     x, eps = inst
     g = build_graph_arrays(x, eps)
     for i in range(g.n):
-        assert i in set(map(int, g.out_neighbors[i]))
+        assert i in set(g.neighbors(i).tolist())
 
 
 @given(graph_instances())
@@ -289,7 +331,7 @@ def test_scc_is_partition(inst):
         assert c and not (c & seen)
         seen |= c
     assert seen == set(range(g.n))
-    adj = [list(map(int, nb)) for nb in g.out_neighbors]
+    adj = [g.neighbors(i).tolist() for i in range(g.n)]
     assert {frozenset(c) for c in comps} == oracles.sccs_kosaraju(adj)
 
 
@@ -335,3 +377,62 @@ def test_regular_degree_formula_guarded(n, eps):
     half = (k - 1) // 2
     for i in range(half, n - half):
         assert deg[i] == k
+
+
+EPS_BANDS = [0.0, 0.01, 0.17, 0.22, 0.45, 1.0]
+
+
+@st.composite
+def grid_instances(draw):
+    """Opinions on a 0.01 grid in runs of ties, epsilons on band edges."""
+    runs = draw(
+        st.lists(st.tuples(st.integers(0, 100), st.integers(1, 4)), min_size=1, max_size=12)
+    )
+    cents = [c for c, k in runs for _ in range(k)]
+    perm = draw(st.permutations(range(len(cents))))
+    x = [cents[p] / 100 for p in perm]
+    eps = draw(st.lists(st.sampled_from(EPS_BANDS), min_size=len(x), max_size=len(x)))
+    return x, eps
+
+
+@given(grid_instances())
+@settings(max_examples=150)
+def test_windows_match_dense_oracle(inst):
+    x, eps = inst
+    g = build_graph_arrays(x, eps)
+    adj = oracles.out_edges(x, eps)
+    assert [g.neighbors(i).tolist() for i in range(g.n)] == adj
+    assert out_degrees(g).tolist() == [len(nb) for nb in adj]
+    assert in_degrees(g).tolist() == [sum(j in nb for nb in adj) for j in range(g.n)]
+    assert {frozenset(c) for c in strongly_connected_components(g)} == oracles.sccs_kosaraju(adj)
+    assert pendant_in_vertices(g) == oracles.pendant_in_vertices(x, eps)
+
+
+@given(grid_instances())
+@settings(max_examples=100)
+def test_dot_edges_and_json_round_trip_match_oracle(inst):
+    x, eps = inst
+    g = build_graph_arrays(x, eps)
+    dot = export_graph(g, "dot").splitlines()
+    edges = [tuple(map(int, line.strip(" ;").split(" -> "))) for line in dot if "->" in line]
+    assert edges == [(i, j) for i, nb in enumerate(oracles.out_edges(x, eps)) for j in nb if j != i]
+    text = export_graph(g, "json")
+    assert export_graph(parse_graph_json(text), "json") == text
+
+
+@given(grid_instances())
+@settings(max_examples=150)
+def test_converging_pairs_match_full_pull_scan(inst):
+    # the pairs the full pulls_all scan qualifies: sorted-adjacent opens,
+    # the left one net-pulled right and the right one net-pulled left
+    x, eps = inst
+    g = build_graph_arrays(x, eps)
+    left, right = pulls_all(g)
+    open_ = classify_all(eps) == Mindedness.OPEN
+    order = np.argsort(x, kind="stable")
+    want = [
+        (int(a), int(b))
+        for a, b in zip(order[:-1], order[1:])
+        if open_[a] and open_[b] and left[a] < right[a] and left[b] > right[b]
+    ]
+    assert find_converging_pairs(g) == want
