@@ -18,7 +18,14 @@ import json
 import sys
 from pathlib import Path
 
-from .core import DynamicsConfig, SimulationResult, simulate, write_trajectory_csv
+from .core import (
+    DynamicsConfig,
+    SimulationResult,
+    require_finite,
+    require_int,
+    simulate,
+    write_trajectory_csv,
+)
 from .graph import build_graph_arrays, export_graph
 from .harness import (
     SweepKind,
@@ -82,7 +89,14 @@ _POPULATION_KEYS = {
     "csv": {"kind", "path", "transform"},
 }
 _TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
-# Top-level keys each subcommand reads (sweep configs use _SWEEP_KEYS).
+# Top-level keys each subcommand reads (sweep configs use _SWEEP_KEYS),
+# and the sections it cannot run without.
+_REQUIRED = {
+    "gen": ("population",),
+    "simulate": ("population",),
+    "place": ("population", "placement"),
+    "graph": ("population",),
+}
 _COMMAND_KEYS = {
     "gen": {"population"},
     "simulate": {"population", "dynamics"},
@@ -137,7 +151,9 @@ def _population_from_config(cfg: dict):
         raise ValueError(f"unknown population kind {kind!r}")
     _check_keys("population", cfg, _POPULATION_KEYS[kind])
     if kind == "evenly_spaced":
-        pop = evenly_spaced(int(cfg["n"]), float(cfg["epsilon"]))
+        require_int("n", cfg["n"])
+        require_finite("epsilon", cfg["epsilon"])
+        pop = evenly_spaced(cfg["n"], cfg["epsilon"])
     elif kind == "mixture":
         fields = {k: v for k, v in cfg.items() if k not in ("kind", "transform")}
         pop = clipped_normal_mixture(MixtureSpec(**fields))
@@ -146,13 +162,11 @@ def _population_from_config(cfg: dict):
     t = cfg.get("transform")
     if t:
         _check_keys("transform", t, _TRANSFORM_KEYS)
-        pop = transform(
-            pop,
-            t["from"],
-            float(t["fraction"]),
-            float(t.get("epsilon_new", 0.2)),
-            rng_seed=int(t.get("rng_seed", 0)),
-        )
+        fraction, epsilon_new, seed = t["fraction"], t.get("epsilon_new", 0.2), t.get("rng_seed", 0)
+        require_finite("fraction", fraction)
+        require_finite("epsilon_new", epsilon_new)
+        require_int("rng_seed", seed)
+        pop = transform(pop, t["from"], fraction, epsilon_new, rng_seed=seed)
     return pop
 
 
@@ -190,6 +204,9 @@ def _run_command(command: str, cfg: dict) -> dict:
     """Build everything from the config and return filename -> text."""
     if command in _COMMAND_KEYS:
         _check_keys(f"{command} config", cfg, _COMMAND_KEYS[command])
+        missing = [key for key in _REQUIRED[command] if key not in cfg]
+        if missing:
+            raise ValueError(f"{command} config has no {missing[0]!r} section")
     if command == "gen":
         pop = _population_from_config(cfg["population"])
         return {"population.csv": write_population_csv(pop)}
@@ -222,7 +239,8 @@ def _run_command(command: str, cfg: dict) -> dict:
     if command == "graph":
         pop = _population_from_config(cfg["population"])
         dyn = _dynamics_from_config(cfg.get("dynamics"))
-        step = int(cfg.get("step", 0))
+        step = cfg.get("step", 0)
+        require_int("step", step)
         if step < 0:
             raise ValueError(f"graph step must be nonnegative, got {step}")
         fmt = cfg.get("format", "dot")

@@ -11,6 +11,7 @@ clusters are maximal groups of opinions chained within cluster_tol.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from enum import Enum
@@ -145,9 +146,118 @@ def neighborhood(pop: Population, i: int) -> set[int]:
     return set(int(j) for j in np.nonzero(mask)[0])
 
 
-def _neighbor_matrix(x: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    # row i marks the agents i listens to; diagonal is always True
-    return np.abs(x[None, :] - x[:, None]) <= eps[:, None]
+def _settle(s: np.ndarray, count: np.ndarray, holds) -> np.ndarray:
+    """Move each guess count to the length of the prefix of sorted opinions
+    s on which holds(s_p) is true (holds is monotone: true, then false, and
+    true at -inf).  holds depends on the value only, so a whole run of tied
+    opinions holds or fails together and each move jumps a whole run."""
+    padded = np.concatenate([[-np.inf], s, [np.inf]])  # padded[c] = s[c - 1]
+    while True:
+        back = ~holds(padded[count])
+        fwd = holds(padded[count + 1])
+        if not (back | fwd).any():
+            return count
+        count = np.where(back, np.searchsorted(s, padded[count], "left"), count)
+        count = np.where(fwd, np.searchsorted(s, padded[count + 1], "right"), count)
+
+
+def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one neighbourhood representation: the stable opinion sort order
+    and, per agent, the window [lo, hi) of sorted positions it listens to.
+
+    The bounds hold the exact predicate |x_j - x_i| <= eps_i.  fl(s - x_i)
+    is monotone in the sorted opinion s, so the agents below the window
+    (s - x_i < -eps_i) and those up to its end (s - x_i <= eps_i, that is
+    < the next float above eps_i) are prefixes of the sort order.
+    searchsorted guesses both prefix lengths at once and _settle corrects
+    the guesses on the predicate itself, so ties and rounding fall where
+    the dense predicate puts them."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    n = len(x)
+    x2 = np.concatenate([x, x])
+    bound = np.concatenate([-eps, np.nextafter(eps, np.inf)])
+    count = _settle(s, np.searchsorted(s, x2 + bound), lambda sp: sp - x2 < bound)
+    return order, count[:n], count[n:]
+
+
+# numpy sums a float row pairwise: a run of at most _LEAF values is summed
+# into 8 interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+
+# (r6+r7)), and the last len % 8 values are added one by one; a longer run
+# is split at half its length rounded down to a multiple of 8.
+_LEAF = 128
+_STRIDES = _LEAF // 8
+_UPTO = np.arange(_STRIDES)[:, None] >= np.arange(_STRIDES)  # [k, k0]: k >= k0
+
+
+@functools.cache
+def _cells() -> np.ndarray:
+    """cell[j, u, v] locates, in a leaf's stride table (j, k1, k0), the sum
+    of accumulator j over the strides from the first at or after offset u
+    into the leaf to the last before offset v; an empty range points at a
+    cell with k1 < k0, which holds 0.  Built on first use, not on import."""
+    u = np.arange(_LEAF + 1)[:, None]
+    v = np.arange(_LEAF + 1)
+    j = np.arange(8)[:, None, None]
+    k0 = (u + 7 - j) // 8
+    k1 = (v - 1 - j) // 8
+    empty = (k1 < k0) | (k0 >= _STRIDES)
+    cell = (j * _STRIDES**2 + np.where(empty, _STRIDES - 1, k1 * _STRIDES + k0)).astype(np.int16)
+    cell.setflags(write=False)
+    return cell
+
+
+def _leaf_sums(s: np.ndarray, a: int, m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """numpy's leaf sum of s[a:a+m] with the values outside each [lo, hi)
+    set to zero, for m <= _LEAF."""
+    body = m - m % 8
+    block = np.zeros(_LEAF)
+    block[:body] = s[a : a + body]
+    # stride[j, k1, k0]: accumulator j (block[j::8]) summed from stride k0
+    # to k1; the zeros before k0 add exactly, and k1 < k0 leaves 0
+    strides = block.reshape(_STRIDES, 8).T[:, :, None]
+    stride = np.add.accumulate(np.where(_UPTO, strides, 0.0), axis=1).reshape(-1)
+    u = np.maximum(lo - a, 0)
+    v = np.minimum(hi - a, m)
+    r = stride[_cells()[:, u, np.minimum(v, body)]]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    sums = r[0] + r[1]
+    t = np.arange(body, m)[:, None]
+    for tail in np.where((u <= t) & (t < v), s[a + t], 0.0):
+        sums = sums + tail
+    return sums
+
+
+def _tree_sums(s: np.ndarray, a: int, m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of s[a:a+m] with the values outside each window
+    [lo, hi) set to zero; one more value at the end is the whole span's
+    sum.  A zero adds exactly, so a half that a window covers takes the
+    half's own sum, a half it misses adds 0, and only a half it cuts is
+    summed again, for the windows that cut it."""
+    lo, hi = np.append(lo, a), np.append(hi, a + m)
+    if m <= _LEAF:
+        return _leaf_sums(s, a, m, lo, hi)
+    half = m // 2 - (m // 2) % 8
+    out = 0.0
+    for start, size in ((a, half), (a + half, m - half)):
+        covers = (lo <= start) & (hi >= start + size)
+        cuts = (lo < start + size) & (hi > start) & ~covers
+        sums = _tree_sums(s, start, size, lo[cuts], hi[cuts])
+        part = np.where(covers, sums[-1], 0.0)
+        part[cuts] = sums[:-1]
+        out = out + part
+    return out
+
+
+def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """sum(s[lo_i:hi_i]) for every window, in the order of numpy's pairwise
+    sum of the length-n row that holds s inside the window and zeros
+    outside it: the row sum of the dense 0/1-mask kernel in the sort
+    order, bit for bit.  Each tree node is visited once, with the windows
+    that cut it, and a window cuts at most two nodes per level, so the
+    cost is O(n log n)."""
+    return _tree_sums(s, 0, len(s), lo, hi)[:-1]
 
 
 def _step_arrays(
@@ -156,14 +266,14 @@ def _step_arrays(
     rule: Rule = Rule.HK,
     w_own=None,
 ) -> np.ndarray:
-    """One synchronous update on raw arrays.
+    """One synchronous update on raw arrays, from the sorted windows.
 
-    Elementwise products with explicit axis-1 sums keep the arithmetic
-    off BLAS so repeated runs are bit-identical on any host.
+    The neighbourhood sums depend only on the sorted opinions, so a
+    permuted population takes the permuted step bit for bit.
     """
-    a = _neighbor_matrix(x, eps)
-    sizes = a.sum(axis=1)
-    sums = (a * x[None, :]).sum(axis=1)
+    order, lo, hi = _windows(x, eps)
+    sizes = hi - lo
+    sums = _window_sums(x[order], lo, hi)
     if rule is Rule.HK:
         out = sums / sizes
     elif rule is Rule.HK_MOD:

@@ -10,12 +10,13 @@ arguments and the placement scan.
 
 Sorted by opinion, every agent's out-neighbours form one contiguous
 window of the sort order, so a graph is held as that order plus two
-window bounds per agent: no edge list and no n x n mask.  Building is
-O(n log n), degrees and pendant in-vertices O(n), SCCs O(n log^2 n) at
-worst; export is linear in the edge count.  The pull sums still
-evaluate whole rows, O(n) per agent asked for, so that every pull is
-summed in one fixed order and the placement scan's exact comparisons
-hold.
+window bounds per agent (core._windows, which the update step uses
+too): no edge list and no n x n mask.  Building is O(n log n), degrees
+and pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
+O(n + k log n) for k agents asked for; export is linear in the edge
+count.  Pulls are differences of exact prefix sums, so every pull is
+one fixed function of the sorted opinions and the placement scan's
+exact comparisons hold; they are defined below 2**23 agents.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, classify_all
+from .core import Population, _windows, classify_all
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,9 @@ def build_graph(pop: Population, t: int = 0) -> InfluenceGraph:
     return build_graph_arrays(pop.opinions, pop.epsilons, t)
 
 
-def _prefix_count(s: np.ndarray, holds) -> np.ndarray:
-    """Per agent, the length of the prefix of sorted opinions s on which
-    holds(s_p) is true; holds must be monotone (true, then false).
-    One vectorised bisection, descending powers of two."""
-    n = len(s)
-    count = np.zeros(n, dtype=np.intp)
-    step = 1 << (n.bit_length() - 1)  # the steps sum to at least n
-    while step:
-        cand = count + step
-        take = (cand <= n) & holds(s[np.minimum(cand, n) - 1])
-        count = np.where(take, cand, count)
-        step >>= 1
-    return count
-
-
 def build_graph_arrays(x, eps, t: int = 0) -> InfluenceGraph:
-    """Window bounds on the exact predicate |x_j - x_i| <= eps_i.  fl(s - x_i)
-    is monotone in the sorted opinion s, so the agents below the window
-    (s - x_i < -eps_i) and those up to its end (s - x_i <= eps_i) are both
-    prefixes of the sort order; ties and rounding fall where the dense
-    predicate puts them."""
+    """The graph on the exact predicate |x_j - x_i| <= eps_i, from the
+    same sorted windows as the update step (core._windows)."""
     x = np.array(x, dtype=float)
     eps = np.array(eps, dtype=float)
     if x.size == 0:
@@ -104,11 +87,7 @@ def build_graph_arrays(x, eps, t: int = 0) -> InfluenceGraph:
         raise ValueError("opinions and epsilons must be 1-d and of equal length")
     if not (np.isfinite(x).all() and np.isfinite(eps).all() and (eps >= 0.0).all()):
         raise ValueError("opinions must be finite and epsilons finite and nonnegative")
-    order = np.argsort(x, kind="stable")
-    s = x[order]
-    lo = _prefix_count(s, lambda sp: sp - x < -eps)
-    hi = _prefix_count(s, lambda sp: sp - x <= eps)
-    return InfluenceGraph(x, eps, order, lo, hi, t)
+    return InfluenceGraph(x, eps, *_windows(x, eps), t)
 
 
 def out_degrees(g: InfluenceGraph) -> np.ndarray:
@@ -124,26 +103,52 @@ def in_degrees(g: InfluenceGraph) -> np.ndarray:
     return deg
 
 
-def _pulls(x: np.ndarray, eps: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+# Pull sums split each opinion v into q = floor(v * 2**30), summed exactly
+# in int64, and the remainder v - q / 2**30, summed in float64, so no
+# prefix sum cancels.  The integer sums convert to float64 exactly while
+# n * 2**30 < 2**53, which bounds the agents a pull can be asked of.
+_SPLIT = 2.0**30
+_MAX_PULL_AGENTS = 1 << 23
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    q = np.floor(v * _SPLIT)
+    return q.astype(np.int64), v - q / _SPLIT
+
+
+def _pulls(g: InfluenceGraph, rows) -> tuple[np.ndarray, np.ndarray]:
     # the one pull formula: pull and pulls_all must agree bit for bit,
-    # because the placement scan qualifies pairs on exact comparisons
-    d = x[None, :] - x[rows, None]  # d[r, k] = x_k - x_r
-    mask = np.abs(d) <= eps[rows, None]
-    right = np.where(mask & (d > 0.0), d, 0.0).sum(axis=1)
-    left = np.where(mask & (d < 0.0), -d, 0.0).sum(axis=1)
+    # because the placement scan qualifies pairs on exact comparisons.
+    # Over sorted positions [a, b), sum(s_k - x_i) = (sum q_k - c q_i) / 2**30
+    # + (sum r_k - c r_i) with c = b - a; opinions equal to x_i add nothing.
+    if g.n >= _MAX_PULL_AGENTS:
+        raise ValueError(f"pull sums are exact only below {_MAX_PULL_AGENTS} agents")
+    s = g.opinions[g.order]
+    q, r = _split(s)
+    Q = np.concatenate([[0], np.cumsum(q)])
+    R = np.concatenate([[0.0], np.cumsum(r)])
+    x = g.opinions[rows]
+    qi, ri = _split(x)
+    lo, hi = g.lo[rows], g.hi[rows]
+    # the agents tied with x_i sit at sorted positions [mid_lo, mid_hi)
+    mid_lo, mid_hi = np.searchsorted(s, x, "left"), np.searchsorted(s, x, "right")
+    c = mid_lo - lo
+    left = (c * qi - (Q[mid_lo] - Q[lo])) / _SPLIT + (c * ri - (R[mid_lo] - R[lo]))
+    c = hi - mid_hi
+    right = (Q[hi] - Q[mid_hi] - c * qi) / _SPLIT + (R[hi] - R[mid_hi] - c * ri)
     return left, right
 
 
 def pull(g: InfluenceGraph, i: int) -> PullDecomposition:
     if not 0 <= i < g.n:
         raise ValueError(f"vertex {i} out of range")
-    left, right = _pulls(g.opinions, g.epsilons, [i])
+    left, right = _pulls(g, [i])
     return PullDecomposition(sum_left=float(left[0]), sum_right=float(right[0]))
 
 
 def pulls_all(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized left/right pulls for every vertex at once."""
-    return _pulls(g.opinions, g.epsilons, slice(None))
+    return _pulls(g, slice(None))
 
 
 def _range_reduce(ufunc, values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

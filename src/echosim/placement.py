@@ -57,6 +57,7 @@ class PlacementConfig:
     def __post_init__(self) -> None:
         self.strategy = Strategy(self.strategy)
         require_int("budget", self.budget)
+        require_int("rng_seed", self.rng_seed)
         require_finite("epsilon_new", self.epsilon_new)
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
@@ -94,9 +95,9 @@ def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     # successor is open and not a twin (equal opinion and epsilon give
     # equal pulls), then the successors of those net-pulled right
     k = np.flatnonzero(open_[a] & open_[b] & ((x[a] != x[b]) | (eps[a] != eps[b])))
-    left, right = _pulls(x, eps, a[k])
+    left, right = _pulls(g, a[k])
     k = k[left < right]
-    left, right = _pulls(x, eps, b[k])
+    left, right = _pulls(g, b[k])
     k = k[left > right]
     return list(zip(a[k].tolist(), b[k].tolist()))
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mindedness, Population
+from .core import Mindedness, Population, require_int
 
 NORMAL_MEAN = 0.5
 NORMAL_SD = 0.125
@@ -52,6 +52,8 @@ class MixtureSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_int("n", self.n)
+        require_int("rng_seed", self.rng_seed)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         self.opinion_dist = OpinionDist(self.opinion_dist)

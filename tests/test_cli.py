@@ -293,6 +293,37 @@ class TestExitCodes:
         (name,) = values
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, cfg, name",
+        [
+            ("gen", {"population": {**SPACED3["population"], "n": 5.7}}, "n"),
+            ("gen", {"population": {**MIX["population"], "n": 20.5}}, "n"),
+            ("graph", {**SPACED3, "step": 1.9}, "step"),
+            ("graph", {**SPACED3, "step": True}, "step"),
+            ("gen", {"population": {**MIX["population"], "rng_seed": True}}, "rng_seed"),
+            (
+                "gen",
+                {"population": {**MIX["population"], "transform": {"from": "close", "fraction": 0.5, "rng_seed": 1.5}}},
+                "rng_seed",
+            ),
+            ("place", {**SPACED3, "placement": {"budget": 1, "rng_seed": True}}, "rng_seed"),
+        ],
+    )
+    def test_integer_fields_not_truncated(self, tmp_path, capsys, command, cfg, name):
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command, cfg, section",
+        [("place", SPACED3, "placement"), ("simulate", {"dynamics": {}}, "population")],
+    )
+    def test_missing_section_named(self, tmp_path, capsys, command, cfg, section):
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"{command} config has no {section!r} section" in capsys.readouterr().err
+
     def test_seed_without_mixture_rejected(self, tmp_path, capsys):
         # neither an evenly spaced nor a csv population has a seed to set
         spaced = write_cfg(tmp_path, SPACED3)

@@ -209,6 +209,11 @@ class TestRunWithPlacement:
         with pytest.raises(ValueError):
             PlacementConfig(budget=1, epsilon_new=1.5)
 
+    def test_seed_must_be_integer(self):
+        for bad in (True, 1.5):
+            with pytest.raises(ValueError, match="rng_seed must be an integer"):
+                PlacementConfig(budget=1, rng_seed=bad)
+
 
 class TestRandomAtStart:
     def pop(self):

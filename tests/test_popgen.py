@@ -136,6 +136,12 @@ class TestMixture:
         with pytest.raises(ValueError):
             MixtureSpec(n=10, fractions={M.CLOSE: 1.0}, epsilons={M.OPEN: 0.45})
 
+    def test_seed_and_size_must_be_integers(self):
+        # True would seed the generator with 1, 5.7 would draw 5 agents
+        for bad in ({"rng_seed": True}, {"rng_seed": 1.5}, {"n": 5.7}, {"n": True}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                MixtureSpec(**{"n": 10, "fractions": {M.OPEN: 1.0}, **bad})
+
     def test_ids_sequential(self):
         pop = clipped_normal_mixture(mix_80_20(n=20))
         assert pop.ids.tolist() == list(range(20))
