@@ -12,28 +12,21 @@ from .core import (
     Population,
     Rule,
     SimulationResult,
-    classify,
     classify_all,
     cluster_labels,
     count_clusters,
-    neighborhood,
     simulate,
-    step_hk,
-    step_hk_mod,
     write_trajectory_csv,
 )
 from .graph import (
     InfluenceGraph,
-    PullDecomposition,
     build_graph,
     export_graph,
     in_degrees,
     out_degrees,
     parse_graph_json,
     pendant_in_vertices,
-    pull,
     pulls_all,
-    regular_degree_check,
     strongly_connected_components,
 )
 from .harness import (
@@ -42,13 +35,7 @@ from .harness import (
     SweepSpec,
     aggregate_means,
     dump_trajectories,
-    read_sweep_csv,
-    record_count,
-    run_epsilon_sweep,
-    run_placement_compare,
     run_sweep,
-    run_transform_sweep,
-    spearman_rank_correlation,
     write_means_csv,
     write_sweep_csv,
 )
@@ -86,7 +73,6 @@ __all__ = [
     "PlacementConfig",
     "PlacementEvent",
     "Population",
-    "PullDecomposition",
     "Rule",
     "Side",
     "SimulationResult",
@@ -98,7 +84,6 @@ __all__ = [
     "budget_spent",
     "build_graph",
     "class_counts",
-    "classify",
     "classify_all",
     "clipped_normal_mixture",
     "cluster_labels",
@@ -109,26 +94,15 @@ __all__ = [
     "export_graph",
     "find_converging_pairs",
     "in_degrees",
-    "neighborhood",
     "out_degrees",
     "parse_graph_json",
     "pendant_in_vertices",
-    "pull",
     "pulls_all",
     "read_population_csv",
-    "read_sweep_csv",
-    "record_count",
-    "regular_degree_check",
     "round_half_up",
-    "run_epsilon_sweep",
-    "run_placement_compare",
     "run_sweep",
-    "run_transform_sweep",
     "run_with_placement",
     "simulate",
-    "spearman_rank_correlation",
-    "step_hk",
-    "step_hk_mod",
     "strongly_connected_components",
     "transform",
     "write_events_csv",

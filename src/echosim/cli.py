@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .core import (
@@ -83,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Keys each population kind reads; any other key is a config error.
 _POPULATION_KEYS = {
     "evenly_spaced": {"kind", "n", "epsilon", "transform"},
-    "mixture": {
-        "kind", "n", "fractions", "epsilons", "opinion_dist", "mean", "sd", "rng_seed", "transform",
-    },
+    "mixture": {f.name for f in fields(MixtureSpec)} | {"kind", "transform"},
     "csv": {"kind", "path", "transform"},
 }
 _TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
@@ -103,10 +102,7 @@ _COMMAND_KEYS = {
     "place": {"population", "dynamics", "placement"},
     "graph": {"population", "dynamics", "step", "format"},
 }
-_SWEEP_KEYS = {
-    "kind", "grid", "population_sizes", "runs", "transform_from", "transform_epsilon",
-    "base_mixture", "dynamics", "placement",
-}
+_SWEEP_KEYS = {f.name for f in fields(SweepSpec)}
 
 
 def _check_keys(section: str, cfg: dict, allowed: set) -> None:
@@ -170,24 +166,16 @@ def _population_from_config(cfg: dict):
     return pop
 
 
-def _dynamics_from_config(cfg: dict | None) -> DynamicsConfig:
-    return DynamicsConfig(**(cfg or {}))
-
-
-def _placement_from_config(cfg: dict) -> PlacementConfig:
-    return PlacementConfig(**cfg)
-
-
 def _sweep_from_config(cfg: dict) -> SweepSpec:
     _check_keys("sweep", cfg, _SWEEP_KEYS)
     base = cfg.get("base_mixture")
     placement = cfg.get("placement")
-    fields = {k: v for k, v in cfg.items() if k not in ("base_mixture", "dynamics", "placement")}
+    flat = {k: v for k, v in cfg.items() if k not in ("base_mixture", "dynamics", "placement")}
     return SweepSpec(
         base_mixture=MixtureSpec(**base) if base else None,
-        dynamics=_dynamics_from_config(cfg.get("dynamics")),
-        placement=_placement_from_config(placement) if placement else None,
-        **fields,
+        dynamics=DynamicsConfig(**(cfg.get("dynamics") or {})),
+        placement=PlacementConfig(**placement) if placement else None,
+        **flat,
     )
 
 
@@ -202,31 +190,6 @@ def _summary_csv(result: SimulationResult, cap: int) -> str:
 
 def _run_command(command: str, cfg: dict) -> dict:
     """Build everything from the config and return filename -> text."""
-    if command in _COMMAND_KEYS:
-        _check_keys(f"{command} config", cfg, _COMMAND_KEYS[command])
-        missing = [key for key in _REQUIRED[command] if key not in cfg]
-        if missing:
-            raise ValueError(f"{command} config has no {missing[0]!r} section")
-    if command == "gen":
-        pop = _population_from_config(cfg["population"])
-        return {"population.csv": write_population_csv(pop)}
-    if command == "simulate":
-        pop = _population_from_config(cfg["population"])
-        dyn = _dynamics_from_config(cfg.get("dynamics"))
-        result = simulate(pop, dyn)
-        return {
-            "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
-            "summary.csv": _summary_csv(result, dyn.max_steps),
-        }
-    if command == "place":
-        pop = _population_from_config(cfg["population"])
-        dyn = _dynamics_from_config(cfg.get("dynamics"))
-        place = _placement_from_config(cfg["placement"])
-        result, events = run_with_placement(pop, dyn, place)
-        return {
-            "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
-            "events.csv": write_events_csv(events),
-        }
     if command == "sweep":
         spec = _sweep_from_config(cfg)
         if spec.kind is SweepKind.TRAJECTORY_DUMP:
@@ -236,21 +199,40 @@ def _run_command(command: str, cfg: dict) -> dict:
             "sweep.csv": write_sweep_csv(records),
             "means.csv": write_means_csv(aggregate_means(records)),
         }
-    if command == "graph":
-        pop = _population_from_config(cfg["population"])
-        dyn = _dynamics_from_config(cfg.get("dynamics"))
-        step = cfg.get("step", 0)
-        require_int("step", step)
-        if step < 0:
-            raise ValueError(f"graph step must be nonnegative, got {step}")
-        fmt = cfg.get("format", "dot")
-        profile = pop.opinions
-        if step > 0:
-            traj = simulate(pop, dyn).trajectory
-            profile = traj[min(step, len(traj) - 1)]
-        g = build_graph_arrays(profile, pop.epsilons, step)
-        return {f"graph.{fmt}": export_graph(g, fmt)}
-    raise ValueError(f"unknown command {command!r}")
+    if command not in _COMMAND_KEYS:
+        raise ValueError(f"unknown command {command!r}")
+    _check_keys(f"{command} config", cfg, _COMMAND_KEYS[command])
+    missing = [key for key in _REQUIRED[command] if key not in cfg]
+    if missing:
+        raise ValueError(f"{command} config has no {missing[0]!r} section")
+    pop = _population_from_config(cfg["population"])
+    if command == "gen":
+        return {"population.csv": write_population_csv(pop)}
+    dyn = DynamicsConfig(**(cfg.get("dynamics") or {}))
+    if command == "simulate":
+        result = simulate(pop, dyn)
+        return {
+            "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
+            "summary.csv": _summary_csv(result, dyn.max_steps),
+        }
+    if command == "place":
+        result, events = run_with_placement(pop, dyn, PlacementConfig(**cfg["placement"]))
+        return {
+            "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
+            "events.csv": write_events_csv(events),
+        }
+    # graph: the snapshot at the configured step
+    step = cfg.get("step", 0)
+    require_int("step", step)
+    if step < 0:
+        raise ValueError(f"graph step must be nonnegative, got {step}")
+    fmt = cfg.get("format", "dot")
+    profile = pop.opinions
+    if step > 0:
+        traj = simulate(pop, dyn).trajectory
+        profile = traj[min(step, len(traj) - 1)]
+    g = build_graph_arrays(profile, pop.epsilons, step)
+    return {f"graph.{fmt}": export_graph(g, fmt)}
 
 
 def dispatch(args) -> int:

@@ -53,11 +53,6 @@ def classify_all(epsilons) -> np.ndarray:
     return _LABELS[(eps >= CLOSE_MAX).astype(np.intp) + (eps > MODERATE_MAX)]
 
 
-def classify(epsilon: float) -> Mindedness:
-    """Label one confidence interval; see classify_all."""
-    return Mindedness(str(classify_all(epsilon)))
-
-
 def require_finite(name: str, value) -> None:
     """Reject anything but a finite real number; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -135,15 +130,6 @@ class Population:
             np.concatenate([self.injected, np.ones(k, dtype=bool)]),
             np.concatenate([self.ids, self.n + np.arange(k)]),
         )
-
-
-def neighborhood(pop: Population, i: int) -> set[int]:
-    """Indices within agent i's confidence interval; always contains i."""
-    if not 0 <= i < pop.n:
-        raise ValueError(f"agent index {i} out of range")
-    x = pop.opinions
-    mask = np.abs(x - x[i]) <= pop.epsilons[i]
-    return set(int(j) for j in np.nonzero(mask)[0])
 
 
 def _settle(s: np.ndarray, count: np.ndarray, holds) -> np.ndarray:
@@ -269,7 +255,10 @@ def _step_arrays(
     """One synchronous update on raw arrays, from the sorted windows.
 
     The neighbourhood sums depend only on the sorted opinions, so a
-    permuted population takes the permuted step bit for bit.
+    permuted population takes the permuted step bit for bit.  HK_MOD
+    takes a scalar or per-agent w_own anywhere in (0, 1] (w_own =
+    1/|N_i| recovers the plain rule); DynamicsConfig restricts the
+    configured value to (0.5, 1] so that own opinion outweighs the rest.
     """
     order, lo, hi = _windows(x, eps)
     sizes = hi - lo
@@ -288,21 +277,6 @@ def _step_arrays(
     else:
         raise ValueError(f"unknown rule {rule!r}")
     return np.clip(out, 0.0, 1.0)
-
-
-def step_hk(pop: Population) -> np.ndarray:
-    """Plain rule: each opinion becomes the mean over its neighborhood."""
-    return _step_arrays(pop.opinions, pop.epsilons, Rule.HK)
-
-
-def step_hk_mod(pop: Population, w_own) -> np.ndarray:
-    """Self-weighted rule; w_own may be a scalar or a per-agent vector.
-
-    The bare operation accepts any w_own in (0, 1] (w_own = 1/|N_i|
-    recovers the plain rule); DynamicsConfig restricts the configured
-    value to (0.5, 1] so that own opinion outweighs the rest combined.
-    """
-    return _step_arrays(pop.opinions, pop.epsilons, Rule.HK_MOD, w_own)
 
 
 @dataclass

@@ -30,19 +30,6 @@ from .core import Population, _windows, classify_all
 
 
 @dataclass(frozen=True)
-class PullDecomposition:
-    """Total pull magnitudes on an agent from its out-neighbors on each side.
-
-    sum_left aggregates x_i - x_k over neighbors k strictly to the left,
-    sum_right aggregates x_k - x_i over neighbors strictly to the right;
-    both are nonnegative and equal-opinion neighbors contribute to neither.
-    """
-
-    sum_left: float
-    sum_right: float
-
-
-@dataclass(frozen=True)
 class InfluenceGraph:
     """A snapshot as sorted-window neighbourhoods.
 
@@ -117,10 +104,14 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pulls(g: InfluenceGraph, rows) -> tuple[np.ndarray, np.ndarray]:
-    # the one pull formula: pull and pulls_all must agree bit for bit,
-    # because the placement scan qualifies pairs on exact comparisons.
+    """Left and right pulls of the given rows: left sums x_i - x_k over the
+    out-neighbours k strictly below x_i, right sums x_k - x_i over those
+    strictly above; equal opinions add to neither.  A row's pulls do not
+    depend on which other rows are asked for, so the placement scan, the
+    injection sizing and pulls_all agree bit for bit, as the scan's exact
+    comparisons need."""
     # Over sorted positions [a, b), sum(s_k - x_i) = (sum q_k - c q_i) / 2**30
-    # + (sum r_k - c r_i) with c = b - a; opinions equal to x_i add nothing.
+    # + (sum r_k - c r_i) with c = b - a.
     if g.n >= _MAX_PULL_AGENTS:
         raise ValueError(f"pull sums are exact only below {_MAX_PULL_AGENTS} agents")
     s = g.opinions[g.order]
@@ -137,13 +128,6 @@ def _pulls(g: InfluenceGraph, rows) -> tuple[np.ndarray, np.ndarray]:
     c = hi - mid_hi
     right = (Q[hi] - Q[mid_hi] - c * qi) / _SPLIT + (R[hi] - R[mid_hi] - c * ri)
     return left, right
-
-
-def pull(g: InfluenceGraph, i: int) -> PullDecomposition:
-    if not 0 <= i < g.n:
-        raise ValueError(f"vertex {i} out of range")
-    left, right = _pulls(g, [i])
-    return PullDecomposition(sum_left=float(left[0]), sum_right=float(right[0]))
 
 
 def pulls_all(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +184,6 @@ def pendant_in_vertices(g: InfluenceGraph) -> set[int]:
     sitting inside an open crowd."""
     pendant = (out_degrees(g) == 1) & (in_degrees(g) >= 2)  # self-loop counts once
     return set(np.flatnonzero(pendant).tolist())
-
-
-def regular_degree_check(n: int, epsilon: float) -> int:
-    """Interior out-degree of an evenly spaced homogeneous population:
-    min(n, 2 * floor(epsilon * (n - 1)) + 1)."""
-    if n < 2:
-        raise ValueError("need at least two agents")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    return min(n, 2 * int(np.floor(epsilon * (n - 1))) + 1)
 
 
 def _edge_lines(g: InfluenceGraph, i: int, names: np.ndarray) -> str:

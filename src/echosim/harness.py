@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DynamicsConfig, Mindedness, simulate, write_trajectory_csv
+from .core import DynamicsConfig, Mindedness, require_finite, require_int, simulate, write_trajectory_csv
 from .placement import (
     PlacementConfig,
     Strategy,
@@ -34,11 +34,16 @@ class SweepKind(str, Enum):
     TRAJECTORY_DUMP = "trajectory_dump"
 
 
+# Kinds whose cells read the base mixture.
+_MIXTURE_KINDS = (SweepKind.TRANSFORM_SWEEP, SweepKind.PLACEMENT_COMPARE, SweepKind.TRAJECTORY_DUMP)
+
+
 @dataclass
 class SweepSpec:
     """Grid semantics by kind: epsilon values for EpsilonSweep,
     conversion fractions for TransformSweep, budget fractions of n for
-    PlacementCompare; ignored by TrajectoryDump."""
+    PlacementCompare.  TrajectoryDump runs one population size, and at
+    most one grid value, the fraction converted by transform_from."""
 
     kind: SweepKind
     grid: list
@@ -52,6 +57,12 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         self.kind = SweepKind(self.kind)
+        require_int("runs", self.runs)
+        require_finite("transform_epsilon", self.transform_epsilon)
+        for n in self.population_sizes:
+            require_int("population_sizes", n)
+        for point in self.grid:
+            require_finite("grid", point)
         if self.kind is not SweepKind.TRAJECTORY_DUMP and not self.grid:
             raise ValueError("grid must be nonempty")
         if not self.population_sizes:
@@ -60,15 +71,15 @@ class SweepSpec:
             raise ValueError("runs must be at least 1")
         if self.transform_from is not None:
             self.transform_from = Mindedness(self.transform_from)
-        needs_mixture = self.kind in (
-            SweepKind.TRANSFORM_SWEEP,
-            SweepKind.PLACEMENT_COMPARE,
-            SweepKind.TRAJECTORY_DUMP,
-        )
-        if needs_mixture and self.base_mixture is None:
+        if self.kind in _MIXTURE_KINDS and self.base_mixture is None:
             raise ValueError(f"{self.kind.value} needs a base_mixture")
         if self.kind is SweepKind.TRANSFORM_SWEEP and self.transform_from is None:
             raise ValueError("transform_sweep needs transform_from")
+        if self.kind is SweepKind.TRAJECTORY_DUMP:
+            if len(self.population_sizes) > 1 or len(self.grid) > 1:
+                raise ValueError("trajectory_dump takes one population size and at most one grid value")
+            if self.grid and self.transform_from is None:
+                raise ValueError("trajectory_dump grid value is a transform fraction and needs transform_from")
 
 
 @dataclass
@@ -82,14 +93,6 @@ class SweepRecord:
     c_eqm: int
     strategy: Strategy | None = None
     budget_spent: int | None = None
-
-
-def record_count(spec: SweepSpec) -> int:
-    """Exact number of records a sweep emits."""
-    cells = len(spec.grid) * len(spec.population_sizes)
-    if spec.kind is SweepKind.PLACEMENT_COMPARE:
-        return cells * (spec.runs + 1)  # one intelligent + runs random
-    return cells * spec.runs
 
 
 def _record(spec, point, n, seed, result, strategy=None, spent=None):
@@ -107,84 +110,73 @@ def _record(spec, point, n, seed, result, strategy=None, spent=None):
     )
 
 
-def run_epsilon_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Homogeneous evenly spaced populations; fully deterministic, so
+def _base(spec: SweepSpec, n: int):
+    """The sweep's base mixture at population size n."""
+    return clipped_normal_mixture(replace(spec.base_mixture, n=n))
+
+
+# Cell functions: the records of one (population size, grid point) cell,
+# one per run, in run order.  base is the base mixture at size n, or None
+# for a kind that does not read it.
+
+
+def run_epsilon_sweep(spec: SweepSpec, n: int, eps: float, base) -> list[SweepRecord]:
+    """Homogeneous evenly spaced population; fully deterministic, so
     every run of a cell emits an identical record."""
+    result = simulate(evenly_spaced(n, eps), spec.dynamics)
+    return [_record(spec, eps, n, seed, result) for seed in range(spec.runs)]
+
+
+def run_transform_sweep(spec: SweepSpec, n: int, frac: float, base) -> list[SweepRecord]:
+    """Per-run transform seeds pick which agents of the fixed base
+    mixture convert."""
     records = []
-    for n in spec.population_sizes:
-        for eps in spec.grid:
-            result = simulate(evenly_spaced(n, eps), spec.dynamics)
-            for seed in range(spec.runs):
-                records.append(_record(spec, eps, n, seed, result))
+    for seed in range(spec.runs):
+        pop = transform(base, spec.transform_from, frac, spec.transform_epsilon, rng_seed=seed)
+        records.append(_record(spec, frac, n, seed, simulate(pop, spec.dynamics)))
     return records
 
 
-def run_transform_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """One fixed base mixture per size (its own seed), then per-run
-    transform seeds pick which agents convert."""
+def run_placement_compare(spec: SweepSpec, n: int, b: float, base) -> list[SweepRecord]:
+    """Intelligent once, recorded under the mixture's seed, then random
+    over `runs` placement seeds, on the same base mixture; budget =
+    round_half_up(b * n)."""
+    place = replace(spec.placement or PlacementConfig(budget=0), budget=round_half_up(float(b) * n))
+    runs = [(Strategy.INTELLIGENT, spec.base_mixture.rng_seed)]
+    runs += [(Strategy.RANDOM_AT_START, seed) for seed in range(spec.runs)]
     records = []
-    for n in spec.population_sizes:
-        base = clipped_normal_mixture(replace(spec.base_mixture, n=n))
-        for frac in spec.grid:
-            for seed in range(spec.runs):
-                pop = transform(
-                    base, spec.transform_from, frac, spec.transform_epsilon, rng_seed=seed
-                )
-                records.append(_record(spec, frac, n, seed, simulate(pop, spec.dynamics)))
-    return records
-
-
-def run_placement_compare(spec: SweepSpec) -> list[SweepRecord]:
-    """Intelligent once per cell versus random over `runs` placement
-    seeds, on the same base mixture; grid points are budget fractions,
-    budget = round_half_up(point * n)."""
-    base_place = spec.placement or PlacementConfig(budget=0)
-    records = []
-    for n in spec.population_sizes:
-        base = clipped_normal_mixture(replace(spec.base_mixture, n=n))
-        for b in spec.grid:
-            budget = round_half_up(float(b) * n)
-            cfg = replace(base_place, budget=budget, strategy=Strategy.INTELLIGENT)
-            result, events = run_with_placement(base, spec.dynamics, cfg)
-            records.append(
-                _record(
-                    spec, b, n, spec.base_mixture.rng_seed, result,
-                    strategy=Strategy.INTELLIGENT, spent=budget_spent(events),
-                )
-            )
-            for seed in range(spec.runs):
-                cfg = replace(
-                    base_place,
-                    budget=budget,
-                    strategy=Strategy.RANDOM_AT_START,
-                    rng_seed=seed,
-                )
-                result, events = run_with_placement(base, spec.dynamics, cfg)
-                records.append(
-                    _record(
-                        spec, b, n, seed, result,
-                        strategy=Strategy.RANDOM_AT_START, spent=budget_spent(events),
-                    )
-                )
+    for strategy, seed in runs:
+        # the intelligent strategy draws nothing, so its rng_seed is inert
+        cfg = replace(place, strategy=strategy, rng_seed=seed)
+        result, events = run_with_placement(base, spec.dynamics, cfg)
+        records.append(_record(spec, b, n, seed, result, strategy, budget_spent(events)))
     return records
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    if spec.kind is SweepKind.EPSILON_SWEEP:
-        return run_epsilon_sweep(spec)
-    if spec.kind is SweepKind.TRANSFORM_SWEEP:
-        return run_transform_sweep(spec)
-    if spec.kind is SweepKind.PLACEMENT_COMPARE:
-        return run_placement_compare(spec)
-    raise ValueError(f"{spec.kind.value} emits trajectories, not sweep records")
+    """Every (population size, grid point) cell in order, with the base
+    mixture built once per size for the kinds that read it."""
+    # looked up per call, so a caller that rebinds a cell function sees it
+    cell = {
+        SweepKind.EPSILON_SWEEP: run_epsilon_sweep,
+        SweepKind.TRANSFORM_SWEEP: run_transform_sweep,
+        SweepKind.PLACEMENT_COMPARE: run_placement_compare,
+    }.get(spec.kind)
+    if cell is None:
+        raise ValueError(f"{spec.kind.value} emits trajectories, not sweep records")
+    records = []
+    for n in spec.population_sizes:
+        base = _base(spec, n) if spec.kind in _MIXTURE_KINDS else None
+        for point in spec.grid:
+            records.extend(cell(spec, n, point, base))
+    return records
 
 
 def dump_trajectories(spec: SweepSpec) -> dict:
-    """TrajectoryDump kind: run the base mixture (first population size)
-    once, with placement when configured, and return the CSV payloads
-    keyed by filename."""
-    n = spec.population_sizes[0]
-    pop = clipped_normal_mixture(replace(spec.base_mixture, n=n))
+    """TrajectoryDump kind: run the base mixture once, converted first
+    when transform_from is set, with placement when configured, and
+    return the CSV payloads keyed by filename."""
+    pop = _base(spec, spec.population_sizes[0])
     if spec.transform_from is not None:
         pop = transform(pop, spec.transform_from, spec.grid[0] if spec.grid else 0.0,
                         spec.transform_epsilon, rng_seed=0)
@@ -219,25 +211,6 @@ def write_sweep_csv(records: list[SweepRecord]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def read_sweep_csv(text: str) -> list[SweepRecord]:
-    records = []
-    for r in csv.DictReader(io.StringIO(text)):
-        records.append(
-            SweepRecord(
-                kind=SweepKind(r["kind"]),
-                point=float(r["point"]),
-                n=int(r["n"]),
-                seed=int(r["seed"]),
-                strategy=Strategy(r["strategy"]) if r["strategy"] else None,
-                budget_spent=int(r["budget_spent"]) if r["budget_spent"] else None,
-                t_eqm=int(r["t_eqm"]),
-                converged=r["converged"] == "true",
-                c_eqm=int(r["c_eqm"]),
-            )
-        )
-    return records
 
 
 def aggregate_means(records: list[SweepRecord]) -> list[dict]:
@@ -280,37 +253,3 @@ def write_means_csv(rows: list[dict]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    s = values[order]
-    base = np.arange(1.0, len(values) + 1.0)
-    out = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and s[j + 1] == s[i]:
-            j += 1
-        out[order[i : j + 1]] = base[i : j + 1].mean()  # ties share the average rank
-        i = j + 1
-    return out
-
-
-def spearman_rank_correlation(a, b) -> float:
-    """Pearson correlation of average ranks; nan when either input is
-    constant."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("inputs must be 1-d arrays of equal length")
-    if len(a) < 2:
-        raise ValueError("need at least two points")
-    ra = _ranks(a)
-    rb = _ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = float(np.sqrt((ra * ra).sum() * (rb * rb).sum()))
-    if denom == 0.0:
-        return float("nan")
-    return float((ra * rb).sum() / denom)

@@ -34,7 +34,7 @@ from .core import (
     require_int,
     simulate,
 )
-from .graph import InfluenceGraph, _pulls, build_graph_arrays, pull
+from .graph import InfluenceGraph, _pulls, build_graph_arrays
 
 
 class Strategy(str, Enum):
@@ -85,9 +85,9 @@ class PlacementEvent:
 def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     """Pairs (i, j) of opinion-adjacent open-minded agents, i left of j
     with no other agent's opinion between them, where i is net-pulled
-    right (sum_left < sum_right) and j net-pulled left (sum_left >
-    sum_right).  Returned left to right along the spectrum in original
-    indices."""
+    right (left pull < right pull, see graph.pulls_all) and j net-pulled
+    left (left pull > right pull).  Returned left to right along the
+    spectrum in original indices."""
     x, eps, order = g.opinions, g.epsilons, g.order
     open_ = classify_all(eps) == Mindedness.OPEN
     a, b = order[:-1], order[1:]
@@ -107,19 +107,20 @@ def compute_injection(
 ) -> tuple[PlacementEvent, PlacementEvent]:
     """Counter-pull batches for a converging pair.
 
-    The left anchor i asks for ceil((sum_right - sum_left) / epsilon_i)
+    The left anchor i asks for ceil((right - left pull) / epsilon_i)
     agents at x_i - epsilon_i (the far edge of its interval, so each
     contributes a full epsilon_i of leftward pull); mirrored for the
     right anchor.  Positions are clamped to [0, 1] and flagged; counts
     are always >= 1 because qualification requires a strict imbalance.
     """
     i, j = pair
-    pi, pj = pull(g, i), pull(g, j)
-    if not (pi.sum_left < pi.sum_right and pj.sum_left > pj.sum_right):
+    left, right = _pulls(g, [i, j])
+    if not (left[0] < right[0] and left[1] > right[1]):
         raise ValueError(f"pair ({i}, {j}) is not a converging pair")
-    ev_left = _batch(g, i, pi.sum_right - pi.sum_left, Side.LEFT)
-    ev_right = _batch(g, j, pj.sum_left - pj.sum_right, Side.RIGHT)
-    return ev_left, ev_right
+    return (
+        _batch(g, i, right[0] - left[0], Side.LEFT),
+        _batch(g, j, left[1] - right[1], Side.RIGHT),
+    )
 
 
 def _batch(g: InfluenceGraph, anchor: int, imbalance: float, side: Side) -> PlacementEvent:

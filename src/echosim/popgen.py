@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mindedness, Population, require_int
+from .core import Mindedness, Population, require_finite, require_int
 
 NORMAL_MEAN = 0.5
 NORMAL_SD = 0.125
@@ -57,8 +57,13 @@ class MixtureSpec:
         if self.n < 1:
             raise ValueError("n must be at least 1")
         self.opinion_dist = OpinionDist(self.opinion_dist)
-        self.fractions = {Mindedness(k): float(v) for k, v in self.fractions.items()}
-        self.epsilons = {Mindedness(k): float(v) for k, v in self.epsilons.items()}
+        for name in ("fractions", "epsilons"):
+            values = {Mindedness(k): v for k, v in getattr(self, name).items()}
+            for k, v in values.items():
+                require_finite(f"{name}.{k}", v)
+            setattr(self, name, {k: float(v) for k, v in values.items()})
+        require_finite("mean", self.mean)
+        require_finite("sd", self.sd)
         if not self.fractions:
             raise ValueError("fractions must name at least one class")
         if any(v < 0.0 for v in self.fractions.values()):
@@ -164,8 +169,3 @@ def read_population_csv(text: str) -> Population:
         injected=[r["injected"] == "true" for r in rows],
         ids=[int(r["agent_id"]) for r in rows],
     )
-
-
-def scaled(spec: MixtureSpec, n: int) -> MixtureSpec:
-    """Same mixture at a different population size."""
-    return replace(spec, n=n)

@@ -9,6 +9,7 @@ tests keep the instances small.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 
 
@@ -87,6 +88,16 @@ def pulls(x, eps, i):
     return left, right
 
 
+def regular_degree_check(n, epsilon):
+    """Interior out-degree of an evenly spaced homogeneous population:
+    min(n, 2 * floor(epsilon * (n - 1)) + 1)."""
+    if n < 2:
+        raise ValueError("need at least two agents")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
+    return min(n, 2 * math.floor(epsilon * (n - 1)) + 1)
+
+
 def out_edges(x, eps):
     return [neighbors(x, eps, i) for i in range(len(x))]
 
@@ -147,26 +158,3 @@ def pendant_in_vertices(x, eps):
         if any(i in adj[j] for j in range(n) if j != i):
             result.add(i)
     return result
-
-
-def spearman(a, b):
-    def ranks(v):
-        order = sorted(range(len(v)), key=lambda i: v[i])
-        r = [0.0] * len(v)
-        i = 0
-        while i < len(v):
-            j = i
-            while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-                j += 1
-            avg = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                r[order[k]] = avg
-            i = j + 1
-        return r
-
-    ra, rb = ranks(a), ranks(b)
-    ma = sum(ra) / len(ra)
-    mb = sum(rb) / len(rb)
-    num = sum((p - ma) * (q - mb) for p, q in zip(ra, rb))
-    den = (sum((p - ma) ** 2 for p in ra) * sum((q - mb) ** 2 for q in rb)) ** 0.5
-    return num / den if den else float("nan")

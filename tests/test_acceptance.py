@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 
+import oracles
 from echosim import (
     DynamicsConfig,
     Mindedness,
@@ -28,17 +29,19 @@ from echosim import (
     cluster_labels,
     count_clusters,
     evenly_spaced,
-    neighborhood,
-    regular_degree_check,
     run_sweep,
     run_with_placement,
     simulate,
-    step_hk,
-    step_hk_mod,
     strongly_connected_components,
 )
+from echosim.core import _step_arrays
 
 M = Mindedness
+
+
+def _step(pop, rule=Rule.HK, w_own=0.6):
+    """The package's update step, as the first step of a run."""
+    return simulate(pop, DynamicsConfig(rule=rule, w_own=w_own, max_steps=1)).trajectory[1]
 
 
 def _report(ok: bool, line: str):
@@ -53,8 +56,8 @@ def test_criterion_1_single_step_worked_values():
     pop = Population.from_arrays(
         [0.1, 0.2, 0.4, 0.4, 0.5, 0.7, 0.7, 0.8, 0.8, 1.0], [0.25] * 10
     )
-    err_plain = abs(step_hk(pop)[4] - 0.54)
-    err_weighted = abs(step_hk_mod(pop, 0.6)[4] - 0.52)
+    err_plain = abs(_step(pop)[4] - 0.54)
+    err_weighted = abs(_step(pop, Rule.HK_MOD, 0.6)[4] - 0.52)
     ok = err_plain <= 1e-12 and err_weighted <= 1e-12
     _report(
         ok,
@@ -214,7 +217,7 @@ def _random_population(rng, n_max=12):
 def _battery_hull(rng):
     pop = _random_population(rng)
     rule = Rule.HK if rng.integers(2) == 0 else Rule.HK_MOD
-    out = step_hk(pop) if rule is Rule.HK else step_hk_mod(pop, 0.7)
+    out = _step(pop, rule, 0.7)
     x = pop.opinions
     return out.min() >= x.min() - 1e-12 and out.max() <= x.max() + 1e-12
 
@@ -224,28 +227,31 @@ def _battery_order(rng):
     pop = Population.from_arrays(
         np.sort(rng.uniform(0, 1, n)), [float(rng.uniform(0.01, 0.6))] * n
     )
-    return bool(np.all(np.diff(step_hk(pop)) >= -1e-12))
+    return bool(np.all(np.diff(_step(pop)) >= -1e-12))
 
 
 def _battery_self_membership(rng):
     pop = _random_population(rng)
-    return all(i in neighborhood(pop, i) for i in range(pop.n))
+    g = build_graph(pop)
+    return all(i in g.neighbors(i) for i in range(pop.n))
 
 
 def _battery_graph_coherence(rng):
     pop = _random_population(rng)
     g = build_graph(pop)
+    x, eps = pop.opinions.tolist(), pop.epsilons.tolist()
     return all(
-        set(g.neighbors(i).tolist()) == neighborhood(pop, i)
+        g.neighbors(i).tolist() == oracles.neighbors(x, eps, i)
         for i in range(pop.n)
     )
 
 
 def _battery_reciprocal_weights(rng):
     pop = _random_population(rng)
-    sizes = np.array([len(neighborhood(pop, i)) for i in range(pop.n)], dtype=float)
-    diff = np.abs(step_hk(pop) - step_hk_mod(pop, 1.0 / sizes))
-    return float(diff.max()) <= 1e-12
+    x, eps = pop.opinions.tolist(), pop.epsilons.tolist()
+    sizes = np.array([len(oracles.neighbors(x, eps, i)) for i in range(pop.n)], dtype=float)
+    weighted = _step_arrays(pop.opinions, pop.epsilons, Rule.HK_MOD, 1.0 / sizes)
+    return float(np.abs(_step(pop) - weighted).max()) <= 1e-12
 
 
 def _battery_budget(rng):
@@ -290,7 +296,7 @@ def _battery_regular_degree(rng):
         if abs(eps * (n - 1) - round(eps * (n - 1))) > 1e-9:
             break
     g = build_graph(evenly_spaced(n, eps))
-    k = regular_degree_check(n, eps)
+    k = oracles.regular_degree_check(n, eps)
     half = (k - 1) // 2
     degrees = [len(g.neighbors(i)) for i in range(n)]
     return all(degrees[i] == k for i in range(half, n - half))

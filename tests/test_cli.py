@@ -316,6 +316,60 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     @pytest.mark.parametrize(
+        "values, name",
+        [
+            ({"sd": float("inf")}, "sd"),
+            ({"sd": True}, "sd"),
+            ({"mean": float("nan")}, "mean"),
+            ({"fractions": {"open": True}}, "fractions.open"),
+            ({"fractions": {"open": 1.0}, "epsilons": {"open": True}}, "epsilons.open"),
+        ],
+    )
+    def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
+        cfg = {"population": {"kind": "mixture", "n": 5, "fractions": {"close": 0.5, "open": 0.5}, **values}}
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["gen", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"{name} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ({"runs": True}, "runs"),
+            ({"population_sizes": [10.5]}, "population_sizes"),
+            ({"grid": [True]}, "grid"),
+            ({"transform_epsilon": True}, "transform_epsilon"),
+        ],
+    )
+    def test_sweep_fields_strict(self, tmp_path, capsys, values, name):
+        cfg = {"kind": "epsilon_sweep", "grid": [0.3], "population_sizes": [10], "runs": 1, **values}
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"{name} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"population_sizes": [20, 50]},
+            {"grid": [0.3, 0.9], "transform_from": "open"},
+            {"grid": [0.3]},
+        ],
+    )
+    def test_trajectory_dump_rejects_values_it_cannot_run(self, tmp_path, capsys, values):
+        cfg = {
+            "kind": "trajectory_dump",
+            "grid": [],
+            "population_sizes": [20],
+            "base_mixture": {"n": 20, "fractions": {"close": 0.5, "open": 0.5}},
+            **values,
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "trajectory_dump" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
         "command, cfg, section",
         [("place", SPACED3, "placement"), ("simulate", {"dynamics": {}}, "population")],
     )

@@ -9,16 +9,14 @@ from echosim import (
     Mindedness,
     Population,
     Rule,
-    classify,
+    build_graph,
     classify_all,
     cluster_labels,
     count_clusters,
-    neighborhood,
     simulate,
-    step_hk,
-    step_hk_mod,
     write_trajectory_csv,
 )
+from echosim.core import _step_arrays
 
 TEN = [0.1, 0.2, 0.4, 0.4, 0.5, 0.7, 0.7, 0.8, 0.8, 1.0]
 
@@ -39,34 +37,39 @@ def ten_agent_pop(eps=0.25):
     return Population.from_arrays(TEN, [eps] * len(TEN))
 
 
+def one_step(pop, rule=Rule.HK, w_own=0.6):
+    """The package's update step, as the first step of a run."""
+    return simulate(pop, DynamicsConfig(rule=rule, w_own=w_own, max_steps=1)).trajectory[1]
+
+
+def neighbors(pop, i):
+    return set(build_graph(pop).neighbors(i).tolist())
+
+
 class TestClassify:
     def test_bands(self):
-        assert classify(0.01) is Mindedness.CLOSE
-        assert classify(0.169999) is Mindedness.CLOSE
-        assert classify(0.17) is Mindedness.MODERATE  # closed band edges
-        assert classify(0.2) is Mindedness.MODERATE
-        assert classify(0.22) is Mindedness.MODERATE
-        assert classify(0.220001) is Mindedness.OPEN
-        assert classify(0.45) is Mindedness.OPEN
-        assert classify(1.0) is Mindedness.OPEN
+        eps = [0.01, 0.169999, 0.17, 0.2, 0.22, 0.220001, 0.45, 1.0]
+        # closed band edges: 0.17 and 0.22 are moderate
+        want = ["close", "close", "moderate", "moderate", "moderate", "open", "open", "open"]
+        assert classify_all(eps).tolist() == want
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            classify(-0.1)
+            classify_all([-0.1])
 
     def test_non_finite_epsilon_rejected(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                classify(bad)
+                classify_all(bad)
             with pytest.raises(ValueError):
                 classify_all([0.2, bad])
 
     def test_vectorised_matches_scalar(self):
         eps = [0.0, 0.01, 0.169999, 0.17, 0.2, 0.22, 0.220001, 0.45, 1.0]
         labels = classify_all(eps)
-        assert labels.tolist() == [classify(e).value for e in eps]
+        assert labels.tolist() == [str(classify_all(e)) for e in eps]
         # label arrays compare against members by value
-        assert (labels == Mindedness.OPEN).tolist() == [classify(e) is Mindedness.OPEN for e in eps]
+        assert (labels == Mindedness.OPEN).tolist() == [e > 0.22 for e in eps]
 
 
 class TestAgent:
@@ -126,54 +129,49 @@ class TestPopulation:
 class TestNeighborhood:
     def test_ten_agent_example(self):
         # fifth agent (index 4), eps 0.25: everyone in [0.25, 0.75]
-        assert neighborhood(ten_agent_pop(), 4) == {2, 3, 4, 5, 6}
+        assert neighbors(ten_agent_pop(), 4) == {2, 3, 4, 5, 6}
 
     def test_zero_epsilon_self_only(self):
         pop = Population.from_arrays([0.1, 0.3, 0.9], [0.0] * 3)
-        assert neighborhood(pop, 1) == {1}
+        assert neighbors(pop, 1) == {1}
 
     def test_full_epsilon_everyone(self):
         pop = Population.from_arrays([0.0, 0.4, 1.0], [1.0] * 3)
-        assert neighborhood(pop, 0) == {0, 1, 2}
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighborhood(ten_agent_pop(), 10)
+        assert neighbors(pop, 0) == {0, 1, 2}
 
 
 class TestStepGoldens:
     def test_hk_fifth_agent(self):
-        assert abs(step_hk(ten_agent_pop())[4] - 0.54) <= 1e-12
+        assert abs(one_step(ten_agent_pop())[4] - 0.54) <= 1e-12
 
     def test_hk_mod_fifth_agent(self):
-        assert abs(step_hk_mod(ten_agent_pop(), 0.6)[4] - 0.52) <= 1e-12
+        assert abs(one_step(ten_agent_pop(), Rule.HK_MOD, 0.6)[4] - 0.52) <= 1e-12
 
     def test_three_agent_exact(self):
         pop = Population.from_arrays([0.0, 0.5, 1.0], [0.5] * 3)
-        assert np.array_equal(step_hk(pop), np.array([0.25, 0.5, 0.75]))
+        assert np.array_equal(one_step(pop), np.array([0.25, 0.5, 0.75]))
 
     def test_matches_naive_oracle(self):
         pop = ten_agent_pop()
-        got = step_hk(pop)
+        got = one_step(pop)
         want = oracles.step_hk(TEN, [0.25] * 10)
         assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
     def test_hk_mod_matches_naive_oracle(self):
         pop = ten_agent_pop()
-        got = step_hk_mod(pop, 0.75)
+        got = one_step(pop, Rule.HK_MOD, 0.75)
         want = oracles.step_hk_mod(TEN, [0.25] * 10, 0.75)
         assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
     def test_isolated_agent_unchanged_under_mod(self):
         pop = Population.from_arrays([0.0, 1.0], [0.1, 0.1])
-        assert np.array_equal(step_hk_mod(pop, 0.9), np.array([0.0, 1.0]))
+        assert np.array_equal(one_step(pop, Rule.HK_MOD, 0.9), np.array([0.0, 1.0]))
 
     def test_w_own_bounds(self):
         pop = ten_agent_pop()
-        with pytest.raises(ValueError):
-            step_hk_mod(pop, 0.0)
-        with pytest.raises(ValueError):
-            step_hk_mod(pop, 1.2)
+        for bad in (0.0, 1.2):
+            with pytest.raises(ValueError):
+                _step_arrays(pop.opinions, pop.epsilons, Rule.HK_MOD, bad)
 
 
 class TestNineAgentGolden:

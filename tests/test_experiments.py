@@ -1,5 +1,6 @@
 """Every experiment config reproduces its committed results byte for byte."""
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,20 @@ def test_sweep_reproduces_results(config, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_benchmark_entry_points_resolve(monkeypatch):
+    # perfbench/ wraps and calls these by name; deleting one breaks the benchmark
+    import echosim
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for name in echosim.__all__:
+        assert hasattr(echosim, name), name
+    traced = [f for fs in tracer.SELF_TIME.values() for f in fs] + list(tracer.COUNTERS) + list(tracer.DYNAMICS)
+    for qualname in traced:
+        layer, attr = qualname.split(".")
+        assert hasattr(getattr(echosim, layer), attr), qualname
+    assert callable(echosim.graph.build_graph)
+    assert callable(echosim.core.Population.from_arrays)
+    assert isinstance(echosim.graph.InfluenceGraph.out_neighbors, property)

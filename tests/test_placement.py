@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from echosim import (
     DynamicsConfig,
+    Mindedness,
     MixtureSpec,
     PlacementConfig,
     Population,
@@ -17,6 +18,7 @@ from echosim import (
     clipped_normal_mixture,
     compute_injection,
     find_converging_pairs,
+    pulls_all,
     run_with_placement,
     simulate,
     write_events_csv,
@@ -102,11 +104,8 @@ class TestComputeInjection:
         left, right = compute_injection(g, (0, 1))
         x2 = x + [left.opinion] * left.count
         eps2 = eps + [0.2] * left.count
-        g2 = graph_of(x2, eps2)
-        from echosim import pull
-
-        p = pull(g2, 0)
-        assert p.sum_left > p.sum_right
+        left, right = pulls_all(graph_of(x2, eps2))
+        assert left[0] > right[0]
 
     def test_non_qualifying_pair_rejected(self):
         g = graph_of([0.4, 0.6], [0.05, 0.05])
@@ -323,9 +322,7 @@ def test_budget_conservation(inst):
 def test_qualifying_pairs_all_open(inst):
     pop, _ = inst
     g = build_graph(pop)
-    from echosim import Mindedness, classify
-
     for i, j in find_converging_pairs(g):
-        assert classify(float(pop.epsilons[i])) is Mindedness.OPEN
-        assert classify(float(pop.epsilons[j])) is Mindedness.OPEN
+        assert pop.mindedness[i] == Mindedness.OPEN
+        assert pop.mindedness[j] == Mindedness.OPEN
         assert pop.opinions[i] <= pop.opinions[j]
