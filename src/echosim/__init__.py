@@ -13,7 +13,6 @@ from .core import (
     Rule,
     SimulationResult,
     classify_all,
-    cluster_labels,
     count_clusters,
     simulate,
     write_trajectory_csv,
@@ -86,7 +85,6 @@ __all__ = [
     "class_counts",
     "classify_all",
     "clipped_normal_mixture",
-    "cluster_labels",
     "compute_injection",
     "count_clusters",
     "dump_trajectories",

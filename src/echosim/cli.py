@@ -105,10 +105,18 @@ _COMMAND_KEYS = {
 _SWEEP_KEYS = {f.name for f in fields(SweepSpec)}
 
 
-def _check_keys(section: str, cfg: dict, allowed: set) -> None:
+def _check_keys(section: str, cfg, allowed: set) -> None:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{section} must be a JSON object, got {cfg!r}")
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ValueError(f"unknown {section} keys {unknown}")
+
+
+def _section(name: str, cfg, cls):
+    """Build the dataclass cls from the config section of that name."""
+    _check_keys(name, cfg, {f.name for f in fields(cls)})
+    return cls(**cfg)
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -141,8 +149,9 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
-def _population_from_config(cfg: dict):
-    kind = cfg.get("kind", "mixture")
+def _population_from_config(cfg):
+    # a section that is not an object fails in _check_keys below
+    kind = cfg.get("kind", "mixture") if isinstance(cfg, dict) else "mixture"
     if kind not in _POPULATION_KEYS:
         raise ValueError(f"unknown population kind {kind!r}")
     _check_keys("population", cfg, _POPULATION_KEYS[kind])
@@ -155,9 +164,9 @@ def _population_from_config(cfg: dict):
         pop = clipped_normal_mixture(MixtureSpec(**fields))
     else:
         pop = read_population_csv(Path(cfg["path"]).read_text())
-    t = cfg.get("transform")
+    t = cfg.get("transform", {})
+    _check_keys("transform", t, _TRANSFORM_KEYS)
     if t:
-        _check_keys("transform", t, _TRANSFORM_KEYS)
         fraction, epsilon_new, seed = t["fraction"], t.get("epsilon_new", 0.2), t.get("rng_seed", 0)
         require_finite("fraction", fraction)
         require_finite("epsilon_new", epsilon_new)
@@ -168,15 +177,10 @@ def _population_from_config(cfg: dict):
 
 def _sweep_from_config(cfg: dict) -> SweepSpec:
     _check_keys("sweep", cfg, _SWEEP_KEYS)
-    base = cfg.get("base_mixture")
-    placement = cfg.get("placement")
-    flat = {k: v for k, v in cfg.items() if k not in ("base_mixture", "dynamics", "placement")}
-    return SweepSpec(
-        base_mixture=MixtureSpec(**base) if base else None,
-        dynamics=DynamicsConfig(**(cfg.get("dynamics") or {})),
-        placement=PlacementConfig(**placement) if placement else None,
-        **flat,
-    )
+    sections = {"base_mixture": MixtureSpec, "dynamics": DynamicsConfig, "placement": PlacementConfig}
+    built = {key: _section(key, cfg[key], cls) for key, cls in sections.items() if key in cfg}
+    flat = {k: v for k, v in cfg.items() if k not in sections}
+    return SweepSpec(**flat, **built)
 
 
 def _summary_csv(result: SimulationResult, cap: int) -> str:
@@ -208,7 +212,7 @@ def _run_command(command: str, cfg: dict) -> dict:
     pop = _population_from_config(cfg["population"])
     if command == "gen":
         return {"population.csv": write_population_csv(pop)}
-    dyn = DynamicsConfig(**(cfg.get("dynamics") or {}))
+    dyn = _section("dynamics", cfg.get("dynamics", {}), DynamicsConfig)
     if command == "simulate":
         result = simulate(pop, dyn)
         return {
@@ -216,7 +220,7 @@ def _run_command(command: str, cfg: dict) -> dict:
             "summary.csv": _summary_csv(result, dyn.max_steps),
         }
     if command == "place":
-        result, events = run_with_placement(pop, dyn, PlacementConfig(**cfg["placement"]))
+        result, events = run_with_placement(pop, dyn, _section("placement", cfg["placement"], PlacementConfig))
         return {
             "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
             "events.csv": write_events_csv(events),

@@ -11,7 +11,6 @@ clusters are maximal groups of opinions chained within cluster_tol.
 
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass, field
 from enum import Enum
@@ -167,52 +166,20 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return order, count[:n], count[n:]
 
 
-# numpy sums a float row pairwise: a run of at most _LEAF values is summed
-# into 8 interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+
-# (r6+r7)), and the last len % 8 values are added one by one; a longer run
-# is split at half its length rounded down to a multiple of 8.
+# numpy sums a float row pairwise: a run of at most _LEAF values is one
+# leaf, and a longer run is split at half its length rounded down to a
+# multiple of 8.
 _LEAF = 128
-_STRIDES = _LEAF // 8
-_UPTO = np.arange(_STRIDES)[:, None] >= np.arange(_STRIDES)  # [k, k0]: k >= k0
-
-
-@functools.cache
-def _cells() -> np.ndarray:
-    """cell[j, u, v] locates, in a leaf's stride table (j, k1, k0), the sum
-    of accumulator j over the strides from the first at or after offset u
-    into the leaf to the last before offset v; an empty range points at a
-    cell with k1 < k0, which holds 0.  Built on first use, not on import."""
-    u = np.arange(_LEAF + 1)[:, None]
-    v = np.arange(_LEAF + 1)
-    j = np.arange(8)[:, None, None]
-    k0 = (u + 7 - j) // 8
-    k1 = (v - 1 - j) // 8
-    empty = (k1 < k0) | (k0 >= _STRIDES)
-    cell = (j * _STRIDES**2 + np.where(empty, _STRIDES - 1, k1 * _STRIDES + k0)).astype(np.int16)
-    cell.setflags(write=False)
-    return cell
 
 
 def _leaf_sums(s: np.ndarray, a: int, m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """numpy's leaf sum of s[a:a+m] with the values outside each [lo, hi)
-    set to zero, for m <= _LEAF."""
-    body = m - m % 8
-    block = np.zeros(_LEAF)
-    block[:body] = s[a : a + body]
-    # stride[j, k1, k0]: accumulator j (block[j::8]) summed from stride k0
-    # to k1; the zeros before k0 add exactly, and k1 < k0 leaves 0
-    strides = block.reshape(_STRIDES, 8).T[:, :, None]
-    stride = np.add.accumulate(np.where(_UPTO, strides, 0.0), axis=1).reshape(-1)
-    u = np.maximum(lo - a, 0)
-    v = np.minimum(hi - a, m)
-    r = stride[_cells()[:, u, np.minimum(v, body)]]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    sums = r[0] + r[1]
-    t = np.arange(body, m)[:, None]
-    for tail in np.where((u <= t) & (t < v), s[a + t], 0.0):
-        sums = sums + tail
-    return sums
+    set to zero, for m <= _LEAF.  numpy reduces a contiguous float row of
+    at most _LEAF values as one leaf of its pairwise sum, so the row sums
+    of the masked block are those leaves bit for bit."""
+    p = np.arange(a, a + m)
+    block = np.where((lo[:, None] <= p) & (p < hi[:, None]), s[a : a + m], 0.0)
+    return block.sum(axis=1)
 
 
 def _tree_sums(s: np.ndarray, a: int, m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -220,7 +187,8 @@ def _tree_sums(s: np.ndarray, a: int, m: int, lo: np.ndarray, hi: np.ndarray) ->
     [lo, hi) set to zero; one more value at the end is the whole span's
     sum.  A zero adds exactly, so a half that a window covers takes the
     half's own sum, a half it misses adds 0, and only a half it cuts is
-    summed again, for the windows that cut it."""
+    summed again, for the windows that cut it.  The split rule is numpy's
+    own; the recursion stops at a leaf, which numpy sums itself."""
     lo, hi = np.append(lo, a), np.append(hi, a + m)
     if m <= _LEAF:
         return _leaf_sums(s, a, m, lo, hi)
@@ -242,7 +210,8 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     outside it: the row sum of the dense 0/1-mask kernel in the sort
     order, bit for bit.  Each tree node is visited once, with the windows
     that cut it, and a window cuts at most two nodes per level, so the
-    cost is O(n log n)."""
+    cost is O(n log n).  A window's sum does not depend on which other
+    windows are asked for, so a caller may ask for each run once."""
     return _tree_sums(s, 0, len(s), lo, hi)[:-1]
 
 
@@ -262,7 +231,13 @@ def _step_arrays(
     """
     order, lo, hi = _windows(x, eps)
     sizes = hi - lo
-    sums = _window_sums(x[order], lo, hi)
+    # neighbours in the sort order with the same window, such as a merged
+    # cluster that shares one epsilon, form a run; its sum is taken once
+    lo_s, hi_s = lo[order], hi[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    sums = np.empty(len(x))
+    sums[order] = _window_sums(x[order], lo_s[first], hi_s[first])[np.cumsum(first) - 1]
     if rule is Rule.HK:
         out = sums / sizes
     elif rule is Rule.HK_MOD:
@@ -373,19 +348,6 @@ def count_clusters(profile, tol: float = 1e-3) -> int:
         raise ValueError("tol must be nonnegative")
     s = np.sort(profile)
     return int(1 + np.sum(np.diff(s) > tol))
-
-
-def cluster_labels(profile, tol: float = 1e-3) -> np.ndarray:
-    """Cluster index per agent, numbered left to right along the spectrum."""
-    profile = np.asarray(profile, dtype=float)
-    if profile.size == 0:
-        raise ValueError("profile must be nonempty")
-    order = np.argsort(profile, kind="stable")
-    s = profile[order]
-    labels_sorted = np.concatenate([[0], np.cumsum(np.diff(s) > tol)])
-    labels = np.empty(len(profile), dtype=int)
-    labels[order] = labels_sorted
-    return labels
 
 
 def write_trajectory_csv(trajectory: list, agents: Population) -> str:

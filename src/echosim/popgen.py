@@ -58,7 +58,10 @@ class MixtureSpec:
             raise ValueError("n must be at least 1")
         self.opinion_dist = OpinionDist(self.opinion_dist)
         for name in ("fractions", "epsilons"):
-            values = {Mindedness(k): v for k, v in getattr(self, name).items()}
+            values = getattr(self, name)
+            if not isinstance(values, dict):
+                raise ValueError(f"{name} must map class names to numbers, got {values!r}")
+            values = {Mindedness(k): v for k, v in values.items()}
             for k, v in values.items():
                 require_finite(f"{name}.{k}", v)
             setattr(self, name, {k: float(v) for k, v in values.items()})

@@ -82,6 +82,16 @@ def count_clusters(profile, tol=1e-3):
     return count
 
 
+def cluster_labels(profile, tol=1e-3):
+    """Cluster index per agent, numbered left to right along the spectrum;
+    tied opinions keep their roster order."""
+    order = sorted(range(len(profile)), key=lambda i: profile[i])
+    labels = [0] * len(profile)
+    for prev, i in zip(order, order[1:]):
+        labels[i] = labels[prev] + (profile[i] - profile[prev] > tol)
+    return labels
+
+
 def pulls(x, eps, i):
     left = sum(x[i] - x[j] for j in neighbors(x, eps, i) if x[j] < x[i])
     right = sum(x[j] - x[i] for j in neighbors(x, eps, i) if x[j] > x[i])

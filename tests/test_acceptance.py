@@ -26,7 +26,6 @@ from echosim import (
     budget_spent,
     build_graph,
     clipped_normal_mixture,
-    cluster_labels,
     count_clusters,
     evenly_spaced,
     run_sweep,
@@ -160,7 +159,7 @@ def _mixed_cluster_seeds(fractions):
             MixtureSpec(n=200, fractions=fractions, rng_seed=seed)
         )
         result = simulate(pop)
-        labels = cluster_labels(result.trajectory[-1])
+        labels = oracles.cluster_labels(result.trajectory[-1])
         members = {}
         for minded, label in zip(result.agents.mindedness, labels):
             members.setdefault(label, set()).add(M(minded))
@@ -360,4 +359,4 @@ def test_cluster_count_matches_tolerance_contract():
     rng = np.random.default_rng(99)
     for _ in range(200):
         profile = rng.uniform(0, 1, int(rng.integers(1, 30)))
-        assert count_clusters(profile) == len(set(cluster_labels(profile)))
+        assert count_clusters(profile) == len(set(oracles.cluster_labels(profile)))

