@@ -23,7 +23,6 @@ from .graph import (
     export_graph,
     in_degrees,
     out_degrees,
-    parse_graph_json,
     pendant_in_vertices,
     pulls_all,
     strongly_connected_components,
@@ -93,7 +92,6 @@ __all__ = [
     "find_converging_pairs",
     "in_degrees",
     "out_degrees",
-    "parse_graph_json",
     "pendant_in_vertices",
     "pulls_all",
     "read_population_csv",

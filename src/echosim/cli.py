@@ -22,6 +22,7 @@ from pathlib import Path
 from .core import (
     DynamicsConfig,
     SimulationResult,
+    csv_text,
     require_finite,
     require_int,
     simulate,
@@ -88,14 +89,8 @@ _POPULATION_KEYS = {
     "csv": {"kind", "path", "transform"},
 }
 _TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
-# Top-level keys each subcommand reads (sweep configs use _SWEEP_KEYS),
-# and the sections it cannot run without.
-_REQUIRED = {
-    "gen": ("population",),
-    "simulate": ("population",),
-    "place": ("population", "placement"),
-    "graph": ("population",),
-}
+# Top-level keys each subcommand reads (sweep configs use _SWEEP_KEYS);
+# a population or placement section it reads must be present.
 _COMMAND_KEYS = {
     "gen": {"population"},
     "simulate": {"population", "dynamics"},
@@ -152,6 +147,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
 def _population_from_config(cfg):
     # a section that is not an object fails in _check_keys below
     kind = cfg.get("kind", "mixture") if isinstance(cfg, dict) else "mixture"
+    if not isinstance(kind, str):
+        raise ValueError(f"population kind must be a string, got {kind!r}")
     if kind not in _POPULATION_KEYS:
         raise ValueError(f"unknown population kind {kind!r}")
     _check_keys("population", cfg, _POPULATION_KEYS[kind])
@@ -185,11 +182,8 @@ def _sweep_from_config(cfg: dict) -> SweepSpec:
 
 def _summary_csv(result: SimulationResult, cap: int) -> str:
     t = result.t_eqm if result.converged else cap
-    return (
-        "n,t_eqm,converged,c_eqm\n"
-        f"{len(result.trajectory[-1])},{t},"
-        f"{'true' if result.converged else 'false'},{result.c_eqm}\n"
-    )
+    row = (len(result.trajectory[-1]), t, result.converged, result.c_eqm)
+    return csv_text(("n", "t_eqm", "converged", "c_eqm"), [row])
 
 
 def _run_command(command: str, cfg: dict) -> dict:
@@ -206,7 +200,7 @@ def _run_command(command: str, cfg: dict) -> dict:
     if command not in _COMMAND_KEYS:
         raise ValueError(f"unknown command {command!r}")
     _check_keys(f"{command} config", cfg, _COMMAND_KEYS[command])
-    missing = [key for key in _REQUIRED[command] if key not in cfg]
+    missing = [key for key in ("population", "placement") if key in _COMMAND_KEYS[command] and key not in cfg]
     if missing:
         raise ValueError(f"{command} config has no {missing[0]!r} section")
     pop = _population_from_config(cfg["population"])

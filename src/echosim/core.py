@@ -121,13 +121,14 @@ class Population:
         return cls(opinions, epsilons, injected)
 
     def extended(self, opinions, epsilons) -> "Population":
-        """Append injected agents with ids n, n+1, ..."""
+        """Append injected agents with ids m + 1, m + 2, ... where m is the
+        largest id so far (n - 1 for the default ids)."""
         k = len(opinions)
         return Population(
             np.concatenate([self.opinions, opinions]),
             np.concatenate([self.epsilons, np.broadcast_to(epsilons, k)]),
             np.concatenate([self.injected, np.ones(k, dtype=bool)]),
-            np.concatenate([self.ids, self.n + np.arange(k)]),
+            np.concatenate([self.ids, self.ids.max() + 1 + np.arange(k)]),
         )
 
 
@@ -350,20 +351,40 @@ def count_clusters(profile, tol: float = 1e-3) -> int:
     return int(1 + np.sum(np.diff(s) > tol))
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_row(values) -> str:
+    """One line of the package's CSV format: floats as repr (a reread
+    parses back bit for bit), booleans as true/false, enums as their
+    value, None as an empty field.  No cell needs quoting."""
+    return ",".join(map(_cell, values)) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """A header line of column names, then one csv_row per row."""
+    return ",".join(header) + "\n" + "".join(map(csv_row, rows))
+
+
 def write_trajectory_csv(trajectory: list, agents: Population) -> str:
     """Serialize a trajectory as t,agent_id,opinion,epsilon,mindedness,injected.
 
     Profiles may grow over time (placement runs); an agent's rows start
-    at the first step it is present.  Floats use repr so a reread parses
-    back bit-identically.
+    at the first step it is present.  Cells follow csv_row.
     """
     ids = agents.ids.tolist()
-    tails = [
-        f"{e!r},{m},{'true' if f else 'false'}\n"
-        for e, m, f in zip(
-            agents.epsilons.tolist(), agents.mindedness.tolist(), agents.injected.tolist()
-        )
-    ]
+    tails = list(
+        map(csv_row, zip(agents.epsilons.tolist(), agents.mindedness.tolist(), agents.injected.tolist()))
+    )
     buf = io.StringIO()
     buf.write("t,agent_id,opinion,epsilon,mindedness,injected\n")
     for t, profile in enumerate(trajectory):

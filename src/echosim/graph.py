@@ -195,8 +195,8 @@ def _edge_lines(g: InfluenceGraph, i: int, names: np.ndarray) -> str:
 
 def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
     """Render the graph as DOT (self-loops omitted, vertex labels
-    id|opinion|mindedness) or JSON (self-loops kept; round-trips through
-    parse_graph_json)."""
+    id|opinion|mindedness) or JSON (vertices with their opinion and
+    epsilon, and every edge [i, j] including self-loops)."""
     if fmt == "dot":
         lines = ["digraph influence {"]
         labels = zip(g.opinions.tolist(), classify_all(g.epsilons).tolist())
@@ -217,29 +217,7 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
                 }
                 for i in range(g.n)
             ],
-            "edges": _edge_list(g),
+            "edges": [[i, j] for i in range(g.n) for j in g.neighbors(i).tolist()],
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
-
-
-def _edge_list(g: InfluenceGraph) -> list[list[int]]:
-    return [[i, j] for i in range(g.n) for j in g.neighbors(i).tolist()]
-
-
-def parse_graph_json(text: str) -> InfluenceGraph:
-    """Rebuild a graph from its JSON export.  The graph is recomputed from
-    the opinions and epsilons, and the edge list must agree with it, so
-    export -> parse -> export is the identity."""
-    payload = json.loads(text)
-    n = int(payload["n"])
-    verts = payload["vertices"]
-    if len(verts) != n:
-        raise ValueError("vertex count does not match n")
-    g = build_graph_arrays(
-        [v["opinion"] for v in verts], [v["epsilon"] for v in verts], int(payload["t"])
-    )
-    edges = sorted([int(i), int(j)] for i, j in payload["edges"])
-    if edges != _edge_list(g):
-        raise ValueError("edge list disagrees with |x_j - x_i| <= eps_i")
-    return g

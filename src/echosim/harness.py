@@ -9,14 +9,20 @@ sweeps are deterministic functions of their spec.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from .core import DynamicsConfig, Mindedness, require_finite, require_int, simulate, write_trajectory_csv
+from .core import (
+    DynamicsConfig,
+    Mindedness,
+    csv_text,
+    require_finite,
+    require_int,
+    simulate,
+    write_trajectory_csv,
+)
 from .placement import (
     PlacementConfig,
     Strategy,
@@ -59,6 +65,9 @@ class SweepSpec:
         self.kind = SweepKind(self.kind)
         require_int("runs", self.runs)
         require_finite("transform_epsilon", self.transform_epsilon)
+        for name in ("grid", "population_sizes"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         for n in self.population_sizes:
             require_int("population_sizes", n)
         for point in self.grid:
@@ -88,11 +97,11 @@ class SweepRecord:
     point: float
     n: int
     seed: int
+    strategy: Strategy | None
+    budget_spent: int | None
     t_eqm: int
     converged: bool
     c_eqm: int
-    strategy: Strategy | None = None
-    budget_spent: int | None = None
 
 
 def _record(spec, point, n, seed, result, strategy=None, spent=None):
@@ -191,65 +200,27 @@ def dump_trajectories(spec: SweepSpec) -> dict:
 
 
 def write_sweep_csv(records: list[SweepRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["kind", "point", "n", "seed", "strategy", "budget_spent", "t_eqm", "converged", "c_eqm"]
-    )
-    for r in records:
-        w.writerow(
-            [
-                r.kind.value,
-                repr(float(r.point)),
-                r.n,
-                r.seed,
-                r.strategy.value if r.strategy is not None else "",
-                r.budget_spent if r.budget_spent is not None else "",
-                r.t_eqm,
-                "true" if r.converged else "false",
-                r.c_eqm,
-            ]
-        )
-    return buf.getvalue()
+    return csv_text([f.name for f in fields(SweepRecord)], map(astuple, records))
+
+
+_MEANS_COLUMNS = ("kind", "point", "n", "strategy", "runs", "mean_t_eqm", "mean_c_eqm")
 
 
 def aggregate_means(records: list[SweepRecord]) -> list[dict]:
     """Mean t_eqm and c_eqm per (kind, point, n, strategy) across seeds,
-    in first-seen order.  Non-converged runs enter at the cap value."""
+    in first-seen order.  Non-converged runs enter at the cap value.
+    Each row maps the means.csv columns to the group's key (strategy is
+    None outside placement sweeps), its run count and the two means."""
     groups: dict = {}
     for r in records:
         key = (r.kind, r.point, r.n, r.strategy)
         groups.setdefault(key, []).append(r)
     rows = []
-    for (kind, point, n, strategy), rs in groups.items():
-        rows.append(
-            {
-                "kind": kind.value,
-                "point": point,
-                "n": n,
-                "strategy": strategy.value if strategy is not None else "",
-                "runs": len(rs),
-                "mean_t_eqm": float(np.mean([r.t_eqm for r in rs])),
-                "mean_c_eqm": float(np.mean([r.c_eqm for r in rs])),
-            }
-        )
+    for key, rs in groups.items():
+        means = float(np.mean([r.t_eqm for r in rs])), float(np.mean([r.c_eqm for r in rs]))
+        rows.append(dict(zip(_MEANS_COLUMNS, (*key, len(rs), *means))))
     return rows
 
 
 def write_means_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["kind", "point", "n", "strategy", "runs", "mean_t_eqm", "mean_c_eqm"])
-    for r in rows:
-        w.writerow(
-            [
-                r["kind"],
-                repr(float(r["point"])),
-                r["n"],
-                r["strategy"],
-                r["runs"],
-                repr(r["mean_t_eqm"]),
-                repr(r["mean_c_eqm"]),
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(_MEANS_COLUMNS, ([r[c] for c in _MEANS_COLUMNS] for r in rows))

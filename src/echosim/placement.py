@@ -16,10 +16,8 @@ update from t onward but can only anchor injections from t+1.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -30,6 +28,7 @@ from .core import (
     Population,
     SimulationResult,
     classify_all,
+    csv_text,
     require_finite,
     require_int,
     simulate,
@@ -198,21 +197,4 @@ def budget_spent(events: list[PlacementEvent]) -> int:
 
 
 def write_events_csv(events: list[PlacementEvent]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["time", "opinion", "requested_opinion", "count", "anchor_agent", "side", "clamped"]
-    )
-    for ev in events:
-        w.writerow(
-            [
-                ev.time,
-                repr(float(ev.opinion)),
-                repr(float(ev.requested_opinion)),
-                ev.count,
-                ev.anchor_agent,
-                ev.side.value if ev.side is not None else "",
-                "true" if ev.clamped else "false",
-            ]
-        )
-    return buf.getvalue()
+    return csv_text([f.name for f in fields(PlacementEvent)], map(astuple, events))

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mindedness, Population, require_finite, require_int
+from .core import Mindedness, Population, csv_text, require_finite, require_int
 
 NORMAL_MEAN = 0.5
 NORMAL_SD = 0.125
@@ -154,21 +154,20 @@ def write_population_csv(pop: Population) -> str:
         pop.mindedness.tolist(),
         pop.injected.tolist(),
     )
-    buf = io.StringIO()
-    buf.write("agent_id,opinion,epsilon,mindedness,injected\n")
-    buf.writelines(
-        f"{i},{x!r},{e!r},{m},{'true' if f else 'false'}\n" for i, x, e, m, f in rows
-    )
-    return buf.getvalue()
+    return csv_text(("agent_id", "opinion", "epsilon", "mindedness", "injected"), rows)
 
 
 def read_population_csv(text: str) -> Population:
     rows = list(csv.DictReader(io.StringIO(text)))
     if not rows:
         raise ValueError("population csv has no rows")
+    flags = [r["injected"] for r in rows]
+    bad = [f for f in flags if f not in ("true", "false")]
+    if bad:
+        raise ValueError(f"injected must be true or false, got {bad[0]!r}")
     return Population(
         opinions=[float(r["opinion"]) for r in rows],
         epsilons=[float(r["epsilon"]) for r in rows],
-        injected=[r["injected"] == "true" for r in rows],
+        injected=[f == "true" for f in flags],
         ids=[int(r["agent_id"]) for r in rows],
     )

@@ -150,6 +150,23 @@ class TestPlace:
         assert events[1] == "0,0.0,-0.15000000000000002,1,0,left,true"
         assert events[2] == "0,1.0,1.15,1,1,right,true"
 
+    def test_injected_ids_follow_sparse_csv_ids(self, tmp_path):
+        pop_csv = tmp_path / "sparse.csv"
+        pop_csv.write_text(
+            "agent_id,opinion,epsilon,mindedness,injected\n"
+            + "".join(f"{i},{x},0.45,open,false\n" for i, x in [(0, 0.2), (2, 0.4), (5, 0.6), (7, 0.8)])
+        )
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "population": {"kind": "csv", "path": str(pop_csv)},
+                "placement": {"budget": 2, "strategy": "random_at_start"},
+            },
+        )
+        assert run_cli(["place", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:7]
+        assert [row.split(",")[1] for row in rows] == ["0", "2", "5", "7", "8", "9"]
+
     def test_trajectory_includes_injected_rows(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -326,6 +343,7 @@ class TestExitCodes:
             ({"mean": float("nan")}, "mean"),
             ({"fractions": {"open": True}}, "fractions.open"),
             ({"fractions": {"open": 1.0}, "epsilons": {"open": True}}, "epsilons.open"),
+            ({"kind": ["mixture"]}, "kind"),
         ],
     )
     def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
@@ -342,6 +360,8 @@ class TestExitCodes:
             ({"population_sizes": [10.5]}, "population_sizes"),
             ({"grid": [True]}, "grid"),
             ({"transform_epsilon": True}, "transform_epsilon"),
+            ({"grid": 0.3}, "grid"),
+            ({"population_sizes": 10}, "population_sizes"),
         ],
     )
     def test_sweep_fields_strict(self, tmp_path, capsys, values, name):

@@ -124,6 +124,10 @@ class TestPopulation:
         assert pop.injected.tolist() == [False, False, True, True]
         assert pop.mindedness.tolist() == ["close", "open", "moderate", "moderate"]
 
+    def test_extended_ids_follow_the_largest_id(self):
+        pop = Population([0.1, 0.2, 0.3, 0.4], [0.1] * 4, ids=[0, 2, 5, 7])
+        assert pop.extended([0.5, 0.6], 0.2).ids.tolist() == [0, 2, 5, 7, 8, 9]
+
 
 class TestNeighborhood:
     def test_ten_agent_example(self):

@@ -1,5 +1,6 @@
 """Tests for sweeps, aggregation and serialization."""
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -8,14 +9,17 @@ from echosim import (
     Mindedness,
     MixtureSpec,
     PlacementConfig,
+    PlacementEvent,
     Strategy,
     SweepKind,
+    SweepRecord,
     SweepSpec,
     aggregate_means,
     clipped_normal_mixture,
     dump_trajectories,
     run_sweep,
     simulate,
+    write_events_csv,
     write_means_csv,
     write_sweep_csv,
 )
@@ -244,6 +248,13 @@ class TestSweepCsv:
         text = write_sweep_csv(run_sweep(eps_spec()))
         head = text.splitlines()[0]
         assert head == "kind,point,n,seed,strategy,budget_spent,t_eqm,converged,c_eqm"
+
+    def test_numpy_floats_and_none_cells(self):
+        # np.float64 prints as a plain float, None as an empty field
+        ev = PlacementEvent(0, np.float64(0.1), np.float64(0.1), 1, -1, None, False)
+        assert write_events_csv([ev]).splitlines()[1] == "0,0.1,0.1,1,-1,,false"
+        rec = SweepRecord(SweepKind.EPSILON_SWEEP, np.float64(0.1), 10, 0, None, None, 3, True, 1)
+        assert write_sweep_csv([rec]).splitlines()[1] == "epsilon_sweep,0.1,10,0,,,3,true,1"
 
 
 class TestAggregation:

@@ -211,6 +211,12 @@ class TestPopulationCsv:
         with pytest.raises(ValueError):
             read_population_csv("agent_id,opinion,epsilon,mindedness,injected\n")
 
+    @pytest.mark.parametrize("flag", ["True", "yes", "1", ""])
+    def test_injected_other_than_true_or_false_rejected(self, flag):
+        text = f"agent_id,opinion,epsilon,mindedness,injected\n0,0.5,0.1,close,{flag}\n"
+        with pytest.raises(ValueError, match="injected must be true or false"):
+            read_population_csv(text)
+
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=50))
 def test_mixture_counts_always_sum(n, seed):
