@@ -23,7 +23,6 @@ from .core import (
     DynamicsConfig,
     SimulationResult,
     csv_text,
-    require_finite,
     require_int,
     simulate,
     write_trajectory_csv,
@@ -153,8 +152,6 @@ def _population_from_config(cfg):
         raise ValueError(f"unknown population kind {kind!r}")
     _check_keys("population", cfg, _POPULATION_KEYS[kind])
     if kind == "evenly_spaced":
-        require_int("n", cfg["n"])
-        require_finite("epsilon", cfg["epsilon"])
         pop = evenly_spaced(cfg["n"], cfg["epsilon"])
     elif kind == "mixture":
         fields = {k: v for k, v in cfg.items() if k not in ("kind", "transform")}
@@ -164,11 +161,7 @@ def _population_from_config(cfg):
     t = cfg.get("transform", {})
     _check_keys("transform", t, _TRANSFORM_KEYS)
     if t:
-        fraction, epsilon_new, seed = t["fraction"], t.get("epsilon_new", 0.2), t.get("rng_seed", 0)
-        require_finite("fraction", fraction)
-        require_finite("epsilon_new", epsilon_new)
-        require_int("rng_seed", seed)
-        pop = transform(pop, t["from"], fraction, epsilon_new, rng_seed=seed)
+        pop = transform(pop, t["from"], t["fraction"], t.get("epsilon_new", 0.2), rng_seed=t.get("rng_seed", 0))
     return pop
 
 

@@ -48,7 +48,8 @@ _MIXTURE_KINDS = (SweepKind.TRANSFORM_SWEEP, SweepKind.PLACEMENT_COMPARE, SweepK
 class SweepSpec:
     """Grid semantics by kind: epsilon values for EpsilonSweep,
     conversion fractions for TransformSweep, budget fractions of n for
-    PlacementCompare.  TrajectoryDump runs one population size, and at
+    PlacementCompare, which sets the placement budget, strategy and
+    rng_seed itself.  TrajectoryDump runs one population size, and at
     most one grid value, the fraction converted by transform_from."""
 
     kind: SweepKind
@@ -82,6 +83,18 @@ class SweepSpec:
             self.transform_from = Mindedness(self.transform_from)
         if self.kind in _MIXTURE_KINDS and self.base_mixture is None:
             raise ValueError(f"{self.kind.value} needs a base_mixture")
+        if self.kind is SweepKind.PLACEMENT_COMPARE and self.placement is not None:
+            p = self.placement
+            for name, value, unset in (
+                ("budget", p.budget, 0),
+                ("strategy", p.strategy.value, Strategy.INTELLIGENT.value),
+                ("rng_seed", p.rng_seed, 0),
+            ):
+                if value != unset:
+                    raise ValueError(
+                        f"placement.{name} must be left at {unset!r}: placement_compare sets it "
+                        f"from the grid and the run seeds, got {value!r}"
+                    )
         if self.kind is SweepKind.TRANSFORM_SWEEP and self.transform_from is None:
             raise ValueError("transform_sweep needs transform_from")
         if self.kind is SweepKind.TRAJECTORY_DUMP:

@@ -5,13 +5,15 @@ converging pairs: opinion-adjacent open-minded agents being pulled
 toward each other (the left one net-pulled right, the right one
 net-pulled left).  For each such pair it injects just enough moderate
 agents at the outer edges of the pair's confidence intervals to flip
-the net pulls outward, spending from a fixed budget until it runs out.
-The baseline strategy spends the whole budget at t=0 on uniform random
-positions over the initial opinion support.
+the net pulls outward.  The baseline strategy offers the whole budget
+at t=0 as single agents at uniform random positions over the initial
+opinion support.
 
-All decisions within one step are evaluated against the frozen
-start-of-step graph: agents injected at step t participate in the
-update from t onward but can only anchor injections from t+1.
+A strategy is only the batches it offers at each step; one budget loop
+inside simulate takes them, so both strategies inject and count t_eqm
+by the same rule.  All decisions within one step are evaluated against
+the frozen start-of-step profile: agents injected at step t participate
+in the update from t onward but can only anchor injections from t+1.
 """
 
 from __future__ import annotations
@@ -141,19 +143,15 @@ def _batch(g: InfluenceGraph, anchor: int, imbalance: float, side: Side) -> Plac
     )
 
 
-def run_with_placement(
-    pop: Population,
-    dyn: DynamicsConfig,
-    place: PlacementConfig,
-) -> tuple[SimulationResult, list[PlacementEvent]]:
-    """Run the dynamics with injections; returns the result and the full
-    event log.  With budget 0 both strategies reduce exactly to a plain
-    simulate."""
+def _offers(pop: Population, place: PlacementConfig):
+    """The strategy as a function offers(t, x, eps): the batches it
+    offers at step t, judged on the start-of-step profile x and
+    epsilons eps."""
     if place.strategy is Strategy.RANDOM_AT_START:
         rng = np.random.default_rng(place.rng_seed)
         x0 = pop.opinions
         draws = rng.uniform(float(x0.min()), float(x0.max()), place.budget)
-        events = [
+        start = [
             PlacementEvent(
                 time=0,
                 opinion=d,
@@ -165,20 +163,36 @@ def run_with_placement(
             )
             for d in draws.tolist()
         ]
-        return simulate(pop.extended(draws, place.epsilon_new), dyn), events
+        return lambda t, x, eps: start if t == 0 else ()
+
+    def intelligent(t, x, eps):
+        g = build_graph_arrays(x, eps, t)
+        return (ev for pair in find_converging_pairs(g) for ev in compute_injection(g, pair))
+
+    return intelligent
+
+
+def run_with_placement(
+    pop: Population,
+    dyn: DynamicsConfig,
+    place: PlacementConfig,
+) -> tuple[SimulationResult, list[PlacementEvent]]:
+    """Run the dynamics with injections; returns the result and the full
+    event log.  One budget loop serves both strategies: it takes each
+    step's offered batches in order until one is unaffordable.  An
+    injection step is never quiet, so t_eqm is past the last injection
+    step.  With budget 0 both strategies reduce exactly to a plain
+    simulate."""
+    offers = _offers(pop, place)
     events: list[PlacementEvent] = []
     budget = place.budget
 
     def intervene(t, x, eps):
-        # every pair and batch of step t is judged on the frozen
-        # start-of-step graph; an unaffordable batch ends the scan
         nonlocal budget
         if budget == 0:
             return None
-        g = build_graph_arrays(x, eps, t)
-        offers = (ev for pair in find_converging_pairs(g) for ev in compute_injection(g, pair))
         batches = []
-        for ev in offers:
+        for ev in offers(t, x, eps):
             if budget < ev.count:
                 break
             batches.append(ev)

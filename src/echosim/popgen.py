@@ -96,6 +96,8 @@ def class_counts(spec: MixtureSpec) -> dict:
 
 def evenly_spaced(n: int, epsilon: float) -> Population:
     """Homogeneous population with x_i = i / (n - 1)."""
+    require_int("n", n)
+    require_finite("epsilon", epsilon)
     if n < 2:
         raise ValueError("evenly spaced layout needs at least 2 agents")
     x = np.linspace(0.0, 1.0, n)
@@ -134,6 +136,9 @@ def transform(
     """Convert a seeded uniform pick of round_half_up(fraction * count)
     agents of from_class to the new epsilon.  Opinions, ids and the
     injected flag never change; mindedness rederives from the epsilon."""
+    require_finite("fraction", fraction)
+    require_finite("epsilon_new", epsilon_new)
+    require_int("rng_seed", rng_seed)
     from_class = Mindedness(from_class)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
@@ -146,6 +151,23 @@ def transform(
     return replace(pop, epsilons=eps)
 
 
+def _flag(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(cell)
+    return cell == "true"
+
+
+# The columns of write_population_csv's format, each with its cell
+# parser and what a cell must be.
+_CSV_CELLS = {
+    "agent_id": (int, "an integer"),
+    "opinion": (float, "a number"),
+    "epsilon": (float, "a number"),
+    "mindedness": (lambda cell: Mindedness(cell).value, "close, moderate or open"),
+    "injected": (_flag, "true or false"),
+}
+
+
 def write_population_csv(pop: Population) -> str:
     rows = zip(
         pop.ids.tolist(),
@@ -154,20 +176,34 @@ def write_population_csv(pop: Population) -> str:
         pop.mindedness.tolist(),
         pop.injected.tolist(),
     )
-    return csv_text(("agent_id", "opinion", "epsilon", "mindedness", "injected"), rows)
+    return csv_text(_CSV_CELLS, rows)
 
 
 def read_population_csv(text: str) -> Population:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    if not rows:
+    """Parse write_population_csv's format.  All five columns must be
+    present; a cell that does not parse, or a mindedness other than the
+    label its epsilon derives, is rejected with its column and line."""
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in _CSV_CELLS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"population csv has no {missing[0]} column")
+    columns = {c: [] for c in _CSV_CELLS}
+    for line, row in enumerate(reader, start=2):
+        for c, (parse, what) in _CSV_CELLS.items():
+            try:
+                columns[c].append(parse(row[c]))
+            except (TypeError, ValueError):
+                raise ValueError(f"population csv line {line}: {c} must be {what}, got {row[c]!r}") from None
+    if not columns["opinion"]:
         raise ValueError("population csv has no rows")
-    flags = [r["injected"] for r in rows]
-    bad = [f for f in flags if f not in ("true", "false")]
-    if bad:
-        raise ValueError(f"injected must be true or false, got {bad[0]!r}")
-    return Population(
-        opinions=[float(r["opinion"]) for r in rows],
-        epsilons=[float(r["epsilon"]) for r in rows],
-        injected=[f == "true" for f in flags],
-        ids=[int(r["agent_id"]) for r in rows],
+    pop = Population(
+        opinions=columns["opinion"],
+        epsilons=columns["epsilon"],
+        injected=columns["injected"],
+        ids=columns["agent_id"],
     )
+    cells = zip(columns["mindedness"], pop.mindedness.tolist(), columns["epsilon"])
+    for line, (label, derived, eps) in enumerate(cells, start=2):
+        if label != derived:
+            raise ValueError(f"population csv line {line}: mindedness {label!r}, but epsilon {eps!r} is {derived!r}")
+    return pop

@@ -422,6 +422,24 @@ class TestExitCodes:
         assert f"echosim: invalid config: {section} must" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
+    @pytest.mark.parametrize("name, value", [("budget", 77), ("strategy", "random_at_start"), ("rng_seed", 9)])
+    def test_placement_compare_rejects_fields_it_sets(self, tmp_path, capsys, name, value):
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "experiments" / "placement_compare.json").read_text())
+        cfg["placement"][name] = value
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"placement.{name} must be left at" in err and "the grid and the run seeds" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_csv_mindedness_contradicting_epsilon_rejected(self, tmp_path, capsys):
+        pop_csv = tmp_path / "pop.csv"
+        pop_csv.write_text("agent_id,opinion,epsilon,mindedness,injected\n0,0.5,0.01,open,false\n")
+        path = write_cfg(tmp_path, {"population": {"kind": "csv", "path": str(pop_csv)}})
+        assert run_cli(["gen", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "line 2: mindedness 'open', but epsilon 0.01 is 'close'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_without_mixture_rejected(self, tmp_path, capsys):
         # neither an evenly spaced nor a csv population has a seed to set
         spaced = write_cfg(tmp_path, SPACED3)

@@ -244,6 +244,16 @@ class TestRandomAtStart:
         assert len(injected) == 6
         assert np.all(injected == 0.2)
 
+    def test_injection_step_is_never_quiet(self):
+        # close-minded agents and a close-minded injectee: the t=0 profile
+        # is already still, but t=0 is an injection step, as it would be
+        # for intelligent placement, so the run settles at t=1
+        pop = Population.from_arrays([0.2, 0.5, 0.8], [0.01] * 3)
+        cfg = PlacementConfig(budget=1, epsilon_new=0.01, strategy=Strategy.RANDOM_AT_START)
+        result, events = run_with_placement(pop, DynamicsConfig(), cfg)
+        assert budget_spent(events) == 1 and events[0].time == 0
+        assert result.t_eqm == 1 and len(result.trajectory) == 3
+
 
 class TestEventsCsv:
     def test_schema_and_values(self):

@@ -1,5 +1,7 @@
 """Tests for population generation and the class transform."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,6 +52,19 @@ class TestEvenlySpaced:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             evenly_spaced(1, 0.2)
+
+    @pytest.mark.parametrize(
+        "n, epsilon, message",
+        [
+            (10, True, "epsilon must be a number"),
+            (10, "0.2", "epsilon must be a number"),
+            (2.5, 0.2, "n must be an integer"),
+            (True, 0.2, "n must be an integer"),
+        ],
+    )
+    def test_strict_numbers(self, n, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            evenly_spaced(n, epsilon)
 
 
 class TestClassCounts:
@@ -192,6 +207,21 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform(base, M.CLOSE, 1.1, 0.2)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ({"fraction": True}, "fraction must be a number"),
+            ({"fraction": "0.5"}, "fraction must be a number"),
+            ({"epsilon_new": float("inf")}, "epsilon_new must be finite"),
+            ({"rng_seed": 1.5}, "rng_seed must be an integer"),
+            ({"rng_seed": True}, "rng_seed must be an integer"),
+        ],
+    )
+    def test_strict_numbers(self, args, message):
+        base = clipped_normal_mixture(mix_80_20(n=20))
+        with pytest.raises(ValueError, match=message):
+            transform(base, M.CLOSE, **{"fraction": 0.5, **args})
+
 
 class TestPopulationCsv:
     def test_round_trip(self):
@@ -215,6 +245,32 @@ class TestPopulationCsv:
     def test_injected_other_than_true_or_false_rejected(self, flag):
         text = f"agent_id,opinion,epsilon,mindedness,injected\n0,0.5,0.1,close,{flag}\n"
         with pytest.raises(ValueError, match="injected must be true or false"):
+            read_population_csv(text)
+
+    def test_mindedness_must_be_the_label_of_epsilon(self):
+        text = "agent_id,opinion,epsilon,mindedness,injected\n0,0.3,0.45,open,false\n1,0.5,0.01,open,false\n"
+        with pytest.raises(ValueError, match="line 3: mindedness 'open', but epsilon 0.01 is 'close'"):
+            read_population_csv(text)
+
+    @pytest.mark.parametrize("column", ["agent_id", "opinion", "epsilon", "mindedness", "injected"])
+    def test_missing_column_named(self, column):
+        header = "agent_id,opinion,epsilon,mindedness,injected".replace(column, "other")
+        with pytest.raises(ValueError, match=f"population csv has no {column} column"):
+            read_population_csv(f"{header}\n0,0.5,0.1,close,false\n")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,abc,0.1,close,false", "line 3: opinion must be a number, got 'abc'"),
+            ("0,0.5,,close,false", "line 3: epsilon must be a number, got ''"),
+            ("1.0,0.5,0.1,close,false", "line 3: agent_id must be an integer, got '1.0'"),
+            ("0,0.5,0.1,closed,false", "line 3: mindedness must be close, moderate or open, got 'closed'"),
+            ("0,0.5", "line 3: epsilon must be a number, got None"),
+        ],
+    )
+    def test_bad_cell_named(self, row, message):
+        text = f"agent_id,opinion,epsilon,mindedness,injected\n1,0.2,0.1,close,false\n{row}\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_population_csv(text)
 
 
