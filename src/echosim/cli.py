@@ -218,11 +218,14 @@ def _run_command(command: str, cfg: dict) -> dict:
     if step < 0:
         raise ValueError(f"graph step must be nonnegative, got {step}")
     fmt = cfg.get("format", "dot")
-    profile = pop.opinions
+    # a run that settles before the step exports its last profile,
+    # labelled with the step it was reached at
+    t, profile = 0, pop.opinions
     if step > 0:
         traj = simulate(pop, dyn).trajectory
-        profile = traj[min(step, len(traj) - 1)]
-    g = build_graph_arrays(profile, pop.epsilons, step)
+        t = min(step, len(traj) - 1)
+        profile = traj[t]
+    g = build_graph_arrays(profile, pop.epsilons, t)
     return {f"graph.{fmt}": export_graph(g, fmt)}
 
 

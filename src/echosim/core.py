@@ -173,47 +173,32 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 _LEAF = 128
 
 
-def _leaf_sums(s: np.ndarray, a: int, m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """numpy's leaf sum of s[a:a+m] with the values outside each [lo, hi)
-    set to zero, for m <= _LEAF.  numpy reduces a contiguous float row of
-    at most _LEAF values as one leaf of its pairwise sum, so the row sums
-    of the masked block are those leaves bit for bit."""
-    p = np.arange(a, a + m)
-    block = np.where((lo[:, None] <= p) & (p < hi[:, None]), s[a : a + m], 0.0)
-    return block.sum(axis=1)
-
-
-def _tree_sums(s: np.ndarray, a: int, m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of s[a:a+m] with the values outside each window
-    [lo, hi) set to zero; one more value at the end is the whole span's
-    sum.  A zero adds exactly, so a half that a window covers takes the
-    half's own sum, a half it misses adds 0, and only a half it cuts is
-    summed again, for the windows that cut it.  The split rule is numpy's
-    own; the recursion stops at a leaf, which numpy sums itself."""
-    lo, hi = np.append(lo, a), np.append(hi, a + m)
-    if m <= _LEAF:
-        return _leaf_sums(s, a, m, lo, hi)
-    half = m // 2 - (m // 2) % 8
-    out = 0.0
-    for start, size in ((a, half), (a + half, m - half)):
-        covers = (lo <= start) & (hi >= start + size)
-        cuts = (lo < start + size) & (hi > start) & ~covers
-        sums = _tree_sums(s, start, size, lo[cuts], hi[cuts])
-        part = np.where(covers, sums[-1], 0.0)
-        part[cuts] = sums[:-1]
-        out = out + part
-    return out
-
-
 def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """sum(s[lo_i:hi_i]) for every window, in the order of numpy's pairwise
-    sum of the length-n row that holds s inside the window and zeros
-    outside it: the row sum of the dense 0/1-mask kernel in the sort
-    order, bit for bit.  Each tree node is visited once, with the windows
-    that cut it, and a window cuts at most two nodes per level, so the
-    cost is O(n log n).  A window's sum does not depend on which other
-    windows are asked for, so a caller may ask for each run once."""
-    return _tree_sums(s, 0, len(s), lo, hi)[:-1]
+    sum of the row that holds s inside the window and zeros outside it:
+    the row sum of the dense 0/1-mask kernel in the sort order, bit for
+    bit.  A leaf is numpy's row reduce of the masked block.  Above a leaf,
+    at numpy's own split, a zero adds exactly, so a half that a window
+    covers adds the half's own sum (numpy's pairwise sum of that slice),
+    a half it misses adds 0, and only the windows that cut a half recurse
+    into it, with bounds relative to the half.  A window cuts at most two
+    nodes per level, so the cost is O(n log n).  A window's sum does not
+    depend on which other windows are asked for, so a caller may ask for
+    each run once."""
+    m = len(s)
+    if m <= _LEAF:
+        p = np.arange(m)
+        return np.where((lo[:, None] <= p) & (p < hi[:, None]), s, 0.0).sum(axis=1)
+    half = m // 2 - (m // 2) % 8
+    out = 0.0
+    for start, part in ((0, s[:half]), (half, s[half:])):
+        end = start + len(part)
+        covers = (lo <= start) & (hi >= end)
+        cuts = (lo < end) & (hi > start) & ~covers
+        sums = np.where(covers, part.sum(), 0.0)
+        sums[cuts] = _window_sums(part, lo[cuts] - start, hi[cuts] - start)
+        out = out + sums
+    return out
 
 
 def _step_arrays(

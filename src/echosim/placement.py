@@ -19,7 +19,7 @@ in the update from t onward but can only anchor injections from t+1.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -71,8 +71,10 @@ class PlacementEvent:
     """One injection batch.
 
     requested_opinion is the anchor position before clamping to [0, 1];
-    clamped records whether clamping moved it.  anchor_agent is -1 and
-    side is None for random placements."""
+    clamped records whether clamping moved it.  anchor_agent is the
+    anchor's index in the graph (compute_injection) or its agent id
+    (run_with_placement's log); it is -1 and side is None for random
+    placements."""
 
     time: int
     opinion: float
@@ -113,6 +115,7 @@ def compute_injection(
     contributes a full epsilon_i of leftward pull); mirrored for the
     right anchor.  Positions are clamped to [0, 1] and flagged; counts
     are always >= 1 because qualification requires a strict imbalance.
+    anchor_agent is the anchor's graph index: a graph has no agent ids.
     """
     i, j = pair
     left, right = _pulls(g, [i, j])
@@ -182,7 +185,8 @@ def run_with_placement(
     step's offered batches in order until one is unaffordable.  An
     injection step is never quiet, so t_eqm is past the last injection
     step.  With budget 0 both strategies reduce exactly to a plain
-    simulate."""
+    simulate.  The log names each anchor by its agent id in the run's
+    roster, an injected anchor included."""
     offers = _offers(pop, place)
     events: list[PlacementEvent] = []
     budget = place.budget
@@ -203,7 +207,10 @@ def run_with_placement(
         opinions = np.repeat([ev.opinion for ev in batches], [ev.count for ev in batches])
         return opinions, place.epsilon_new
 
-    return simulate(pop, dyn, intervene), events
+    result = simulate(pop, dyn, intervene)
+    ids = result.agents.ids
+    named = [replace(ev, anchor_agent=int(ids[ev.anchor_agent])) if ev.anchor_agent >= 0 else ev for ev in events]
+    return result, named
 
 
 def budget_spent(events: list[PlacementEvent]) -> int:

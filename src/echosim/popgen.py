@@ -180,30 +180,54 @@ def write_population_csv(pop: Population) -> str:
 
 
 def read_population_csv(text: str) -> Population:
-    """Parse write_population_csv's format.  All five columns must be
-    present; a cell that does not parse, or a mindedness other than the
-    label its epsilon derives, is rejected with its column and line."""
+    """Parse write_population_csv's format.  The header must name the five
+    columns, each once and no other; a cell past the header, a cell that
+    does not parse, a value the Population rejects, a repeated id or a
+    mindedness other than the label its epsilon derives is rejected with
+    its line (and column, where there is one)."""
     reader = csv.DictReader(io.StringIO(text))
-    missing = [c for c in _CSV_CELLS if c not in (reader.fieldnames or ())]
+    header = reader.fieldnames or []
+    missing = [c for c in _CSV_CELLS if c not in header]
     if missing:
         raise ValueError(f"population csv has no {missing[0]} column")
+    for k, c in enumerate(header):
+        if c not in _CSV_CELLS or c in header[:k]:
+            raise ValueError(f"population csv has an unexpected column {c!r}")
     columns = {c: [] for c in _CSV_CELLS}
-    for line, row in enumerate(reader, start=2):
+    lines = []
+    for row in reader:
+        line = reader.line_num
+        lines.append(line)
+        if None in row:
+            raise ValueError(f"population csv line {line}: unexpected cell {row[None][0]!r} past the header")
         for c, (parse, what) in _CSV_CELLS.items():
             try:
                 columns[c].append(parse(row[c]))
             except (TypeError, ValueError):
                 raise ValueError(f"population csv line {line}: {c} must be {what}, got {row[c]!r}") from None
-    if not columns["opinion"]:
+    if not lines:
         raise ValueError("population csv has no rows")
-    pop = Population(
-        opinions=columns["opinion"],
-        epsilons=columns["epsilon"],
-        injected=columns["injected"],
-        ids=columns["agent_id"],
-    )
-    cells = zip(columns["mindedness"], pop.mindedness.tolist(), columns["epsilon"])
-    for line, (label, derived, eps) in enumerate(cells, start=2):
+    try:
+        pop = Population(
+            opinions=columns["opinion"],
+            epsilons=columns["epsilon"],
+            injected=columns["injected"],
+            ids=columns["agent_id"],
+        )
+    except ValueError:
+        # find the row the Population rejects: one that fails on its own,
+        # or the first repeat of an id
+        first = {}
+        for line, agent, x, eps in zip(lines, columns["agent_id"], columns["opinion"], columns["epsilon"]):
+            if agent in first:
+                raise ValueError(f"population csv line {line}: agent id {agent} repeats line {first[agent]}") from None
+            first[agent] = line
+            try:
+                Population([x], [eps])
+            except ValueError as exc:
+                raise ValueError(f"population csv line {line}: {exc}") from None
+        raise
+    for line, label, derived, eps in zip(lines, columns["mindedness"], pop.mindedness.tolist(), columns["epsilon"]):
         if label != derived:
             raise ValueError(f"population csv line {line}: mindedness {label!r}, but epsilon {eps!r} is {derived!r}")
     return pop

@@ -167,6 +167,21 @@ class TestPlace:
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:7]
         assert [row.split(",")[1] for row in rows] == ["0", "2", "5", "7", "8", "9"]
 
+    def test_events_name_anchors_by_agent_id(self, tmp_path):
+        # a mixture written with ids 1000 + 3k: events.csv names the two
+        # anchors (roster positions 7 and 70) by the ids trajectory.csv uses
+        cfg = write_cfg(tmp_path, {"population": {**MIX["population"], "n": 200}})
+        assert run_cli(["gen", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        header, *rows = (tmp_path / "population.csv").read_text().splitlines()
+        pop_csv = tmp_path / "ids.csv"
+        pop_csv.write_text(header + "\n" + "".join(f"{1000 + 3 * k},{row.split(',', 1)[1]}\n" for k, row in enumerate(rows)))
+        cfg = write_cfg(tmp_path, {"population": {"kind": "csv", "path": str(pop_csv)}, "placement": {"budget": 20}})
+        assert run_cli(["place", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        events = (tmp_path / "events.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in events] == ["1021", "1210"]
+        agents = {row.split(",")[1] for row in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]}
+        assert {"1021", "1210"} <= agents
+
     def test_trajectory_includes_injected_rows(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -226,6 +241,16 @@ class TestGraph:
         assert payload["t"] == 2
         # consensus profile: everyone is everyone's neighbor
         assert len(payload["edges"]) == 9
+
+
+    def test_settled_run_labels_the_step_it_reached(self, tmp_path):
+        # the run settles at t_eqm 7, so step 500 exports the t = 8 profile
+        cfg = write_cfg(
+            tmp_path,
+            {"population": {"kind": "evenly_spaced", "n": 20, "epsilon": 0.2}, "format": "json", "step": 500},
+        )
+        assert run_cli(["graph", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert json.loads((tmp_path / "graph.json").read_text())["t"] == 8
 
 
 class TestExitCodes:

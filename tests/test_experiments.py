@@ -1,10 +1,14 @@
 """Every experiment config reproduces its committed results byte for byte."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import echosim
 from echosim.cli import build_parser, dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +30,29 @@ def test_sweep_reproduces_results(config, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def run_script(*args):
+    # the child imports echosim from where this process does, installed
+    # or not
+    path = [str(Path(echosim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+
+
+def test_run_all_experiments_script(tmp_path):
+    proc = run_script("--only", "trajectory_open", "--results", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory_open_close"]
+    name = "trajectory_open_close/trajectory.csv"
+    assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes()
+    proc = run_script("--only", "nomatch", "--results", str(tmp_path))
+    assert proc.returncode == 1
+    assert "no configs found" in proc.stderr
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):

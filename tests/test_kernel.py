@@ -59,7 +59,9 @@ def instances(seed, count=60, n_max=700):
     """Opinion profiles with and without ties, sizes across several leaves
     of the pairwise tree (128 and 256 values), mixed and shared epsilons;
     then two mid-run profiles of a three-class mixture, whose merged
-    clusters make long runs of equal windows broken by other classes."""
+    clusters make long runs of equal windows broken by other classes;
+    last the benchmark's n = 2000 placement mixture at t = 0, whose tree
+    has four levels of internal nodes above the leaves."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         n = int(rng.integers(1, n_max)) if k % 4 else int(rng.integers(1, 20))
@@ -79,6 +81,8 @@ def instances(seed, count=60, n_max=700):
     trajectory = simulate(pop, DynamicsConfig(max_steps=8)).trajectory
     for t in (3, 8):
         yield trajectory[t], pop.epsilons
+    deep = clipped_normal_mixture(MixtureSpec(n=2000, fractions={"close": 0.5, "open": 0.5}, rng_seed=1))
+    yield deep.opinions, deep.epsilons
 
 
 def test_windows_match_dense_predicate():

@@ -175,6 +175,20 @@ class TestRunWithPlacement:
         assert result.agents.ids.tolist() == list(range(result.agents.n))
         assert result.agents.injected[2:].all()
 
+    def test_events_name_anchors_by_agent_id(self):
+        # the same run with ids 1000 + 3k: an anchor at roster position k
+        # is logged as that agent's id, an injected anchor (position 20,
+        # the first injected agent) as its fresh id 1058
+        pop = clipped_normal_mixture(MixtureSpec(n=20, fractions={"close": 0.5, "open": 0.5}, rng_seed=5))
+        relabelled = Population(pop.opinions, pop.epsilons, ids=1000 + 3 * np.arange(pop.n))
+        place = PlacementConfig(budget=20, epsilon_new=0.45)
+        _, plain = run_with_placement(pop, DynamicsConfig(), place)
+        result, events = run_with_placement(relabelled, DynamicsConfig(), place)
+        ids = result.agents.ids
+        assert 20 in [ev.anchor_agent for ev in plain]
+        assert [ev.anchor_agent for ev in events] == [ids[ev.anchor_agent] for ev in plain]
+        assert 1058 in [ev.anchor_agent for ev in events]
+
     def test_original_population_unmutated(self):
         pop = self.base()
         before = pop.opinions.copy()

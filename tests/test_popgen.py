@@ -266,12 +266,28 @@ class TestPopulationCsv:
             ("1.0,0.5,0.1,close,false", "line 3: agent_id must be an integer, got '1.0'"),
             ("0,0.5,0.1,closed,false", "line 3: mindedness must be close, moderate or open, got 'closed'"),
             ("0,0.5", "line 3: epsilon must be a number, got None"),
+            ("0,0.5,0.1,close,false,zzz", "line 3: unexpected cell 'zzz' past the header"),
+            ("0,1.5,0.1,close,false", "line 3: opinions must lie in [0, 1], got 1.5"),
+            ("0,0.5,-0.1,close,false", "line 3: epsilon must be finite and nonnegative, got -0.1"),
+            ("1,0.5,0.1,close,false", "line 3: agent id 1 repeats line 2"),
         ],
     )
     def test_bad_cell_named(self, row, message):
         text = f"agent_id,opinion,epsilon,mindedness,injected\n1,0.2,0.1,close,false\n{row}\n"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_population_csv(text)
+
+    @pytest.mark.parametrize(
+        "header, column",
+        [
+            ("agent_id,opinion,epsilon,mindedness,injected,extra", "extra"),
+            ("extra,agent_id,opinion,epsilon,mindedness,injected", "extra"),
+            ("agent_id,opinion,epsilon,mindedness,injected,opinion", "opinion"),
+        ],
+    )
+    def test_unexpected_column_named(self, header, column):
+        with pytest.raises(ValueError, match=f"population csv has an unexpected column '{column}'"):
+            read_population_csv(f"{header}\n0,0.5,0.01,close,false,0.5\n")
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=50))
