@@ -16,28 +16,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import (
-    DynamicsConfig,
-    SimulationResult,
-    csv_text,
-    require_int,
-    simulate,
-    write_trajectory_csv,
-)
+from .core import DynamicsConfig, SimulationResult, csv_text, require_int, simulate
 from .graph import build_graph_arrays, export_graph
 from .harness import (
     SweepKind,
     SweepSpec,
     aggregate_means,
     dump_trajectories,
+    run_population,
     run_sweep,
     write_means_csv,
     write_sweep_csv,
 )
-from .placement import PlacementConfig, run_with_placement, write_events_csv
+from .placement import PlacementConfig
 from .popgen import (
     MixtureSpec,
     clipped_normal_mixture,
@@ -76,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config entry by dotted path (repeatable)",
         )
-        p.add_argument("--seed", type=int, default=None, help="override the generation seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -96,7 +89,14 @@ _COMMAND_KEYS = {
     "place": {"population", "dynamics", "placement"},
     "graph": {"population", "dynamics", "step", "format"},
 }
-_SWEEP_KEYS = {f.name for f in fields(SweepSpec)}
+# Keys each sweep kind reads; any other key is a config error.
+_SWEEP_BASE_KEYS = {"kind", "grid", "population_sizes", "dynamics"}
+_SWEEP_KEYS = {
+    "epsilon_sweep": _SWEEP_BASE_KEYS | {"runs"},
+    "transform_sweep": _SWEEP_BASE_KEYS | {"runs", "base_mixture", "transform_from", "transform_epsilon"},
+    "placement_compare": _SWEEP_BASE_KEYS | {"runs", "base_mixture", "placement"},
+    "trajectory_dump": _SWEEP_BASE_KEYS | {"base_mixture", "placement"},
+}
 
 
 def _check_keys(section: str, cfg, allowed: set) -> None:
@@ -114,17 +114,6 @@ def _section(name: str, cfg, cls):
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    if args.seed is not None:
-        # only a mixture has a generation seed
-        seeded = [
-            key
-            for key in ("population", "base_mixture")
-            if isinstance(cfg.get(key), dict) and cfg[key].get("kind", "mixture") == "mixture"
-        ]
-        if not seeded:
-            raise ValueError("--seed needs a mixture population or base_mixture to seed")
-        for key in seeded:
-            cfg[key]["rng_seed"] = args.seed
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
@@ -146,10 +135,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
 def _population_from_config(cfg):
     # a section that is not an object fails in _check_keys below
     kind = cfg.get("kind", "mixture") if isinstance(cfg, dict) else "mixture"
-    if not isinstance(kind, str):
-        raise ValueError(f"population kind must be a string, got {kind!r}")
-    if kind not in _POPULATION_KEYS:
-        raise ValueError(f"unknown population kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _POPULATION_KEYS:
+        raise ValueError(f"population kind must be one of {list(_POPULATION_KEYS)}, got {kind!r}")
     _check_keys("population", cfg, _POPULATION_KEYS[kind])
     if kind == "evenly_spaced":
         pop = evenly_spaced(cfg["n"], cfg["epsilon"])
@@ -161,12 +148,16 @@ def _population_from_config(cfg):
     t = cfg.get("transform", {})
     _check_keys("transform", t, _TRANSFORM_KEYS)
     if t:
-        pop = transform(pop, t["from"], t["fraction"], t.get("epsilon_new", 0.2), rng_seed=t.get("rng_seed", 0))
+        options = {k: v for k, v in t.items() if k not in ("from", "fraction")}
+        pop = transform(pop, t["from"], t["fraction"], **options)
     return pop
 
 
 def _sweep_from_config(cfg: dict) -> SweepSpec:
-    _check_keys("sweep", cfg, _SWEEP_KEYS)
+    kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _SWEEP_KEYS:
+        raise ValueError(f"sweep kind must be one of {list(_SWEEP_KEYS)}, got {kind!r}")
+    _check_keys(kind, cfg, _SWEEP_KEYS[kind])
     sections = {"base_mixture": MixtureSpec, "dynamics": DynamicsConfig, "placement": PlacementConfig}
     built = {key: _section(key, cfg[key], cls) for key, cls in sections.items() if key in cfg}
     flat = {k: v for k, v in cfg.items() if k not in sections}
@@ -201,17 +192,10 @@ def _run_command(command: str, cfg: dict) -> dict:
         return {"population.csv": write_population_csv(pop)}
     dyn = _section("dynamics", cfg.get("dynamics", {}), DynamicsConfig)
     if command == "simulate":
-        result = simulate(pop, dyn)
-        return {
-            "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
-            "summary.csv": _summary_csv(result, dyn.max_steps),
-        }
+        result, files = run_population(pop, dyn)
+        return {**files, "summary.csv": _summary_csv(result, dyn.max_steps)}
     if command == "place":
-        result, events = run_with_placement(pop, dyn, _section("placement", cfg["placement"], PlacementConfig))
-        return {
-            "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
-            "events.csv": write_events_csv(events),
-        }
+        return run_population(pop, dyn, _section("placement", cfg["placement"], PlacementConfig))[1]
     # graph: the snapshot at the configured step
     step = cfg.get("step", 0)
     require_int("step", step)
@@ -220,12 +204,10 @@ def _run_command(command: str, cfg: dict) -> dict:
     fmt = cfg.get("format", "dot")
     # a run that settles before the step exports its last profile,
     # labelled with the step it was reached at
-    t, profile = 0, pop.opinions
+    traj = [pop.opinions]
     if step > 0:
-        traj = simulate(pop, dyn).trajectory
-        t = min(step, len(traj) - 1)
-        profile = traj[t]
-    g = build_graph_arrays(profile, pop.epsilons, t)
+        traj = simulate(pop, replace(dyn, max_steps=min(step, dyn.max_steps))).trajectory
+    g = build_graph_arrays(traj[-1], pop.epsilons, len(traj) - 1)
     return {f"graph.{fmt}": export_graph(g, fmt)}
 
 

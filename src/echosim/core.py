@@ -22,6 +22,11 @@ import numpy as np
 CLOSE_MAX = 0.17
 MODERATE_MAX = 0.22
 
+# The epsilon every default moderate agent gets (generated, converted or
+# injected), and HK_MOD's default self weight.
+MODERATE_EPSILON = 0.2
+W_OWN = 0.6
+
 
 class Mindedness(str, Enum):
     CLOSE = "close"
@@ -205,7 +210,7 @@ def _step_arrays(
     x: np.ndarray,
     eps: np.ndarray,
     rule: Rule = Rule.HK,
-    w_own=None,
+    w_own=W_OWN,
 ) -> np.ndarray:
     """One synchronous update on raw arrays, from the sorted windows.
 
@@ -227,7 +232,7 @@ def _step_arrays(
     if rule is Rule.HK:
         out = sums / sizes
     elif rule is Rule.HK_MOD:
-        w = np.asarray(0.6 if w_own is None else w_own, dtype=float)
+        w = np.asarray(w_own, dtype=float)
         if np.any(w <= 0.0) or np.any(w > 1.0):
             raise ValueError("w_own must lie in (0, 1]")
         others = sizes - 1
@@ -243,7 +248,7 @@ def _step_arrays(
 @dataclass
 class DynamicsConfig:
     rule: Rule = Rule.HK
-    w_own: float = 0.6
+    w_own: float = W_OWN
     delta: float = 1e-6
     max_steps: int = 1000
     cluster_tol: float = 1e-3

@@ -15,21 +15,17 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    MODERATE_EPSILON,
     DynamicsConfig,
     Mindedness,
+    Population,
     csv_text,
     require_finite,
     require_int,
     simulate,
     write_trajectory_csv,
 )
-from .placement import (
-    PlacementConfig,
-    Strategy,
-    budget_spent,
-    run_with_placement,
-    write_events_csv,
-)
+from .placement import PlacementConfig, Strategy, budget_spent, run_with_placement, write_events_csv
 from .popgen import MixtureSpec, clipped_normal_mixture, evenly_spaced, round_half_up, transform
 
 
@@ -49,8 +45,9 @@ class SweepSpec:
     """Grid semantics by kind: epsilon values for EpsilonSweep,
     conversion fractions for TransformSweep, budget fractions of n for
     PlacementCompare, which sets the placement budget, strategy and
-    rng_seed itself.  TrajectoryDump runs one population size, and at
-    most one grid value, the fraction converted by transform_from."""
+    rng_seed itself.  TrajectoryDump runs one population size and no
+    grid value.  A kind ignores the fields it does not read; the CLI
+    rejects a config that sets them."""
 
     kind: SweepKind
     grid: list
@@ -60,7 +57,7 @@ class SweepSpec:
     placement: PlacementConfig | None = None
     runs: int = 5
     transform_from: Mindedness | None = None
-    transform_epsilon: float = 0.2
+    transform_epsilon: float = MODERATE_EPSILON
 
     def __post_init__(self) -> None:
         self.kind = SweepKind(self.kind)
@@ -97,11 +94,8 @@ class SweepSpec:
                     )
         if self.kind is SweepKind.TRANSFORM_SWEEP and self.transform_from is None:
             raise ValueError("transform_sweep needs transform_from")
-        if self.kind is SweepKind.TRAJECTORY_DUMP:
-            if len(self.population_sizes) > 1 or len(self.grid) > 1:
-                raise ValueError("trajectory_dump takes one population size and at most one grid value")
-            if self.grid and self.transform_from is None:
-                raise ValueError("trajectory_dump grid value is a transform fraction and needs transform_from")
+        if self.kind is SweepKind.TRAJECTORY_DUMP and (len(self.population_sizes) > 1 or self.grid):
+            raise ValueError("trajectory_dump takes one population size and no grid values")
 
 
 @dataclass
@@ -194,22 +188,22 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
+def run_population(pop: Population, dyn: DynamicsConfig, place: PlacementConfig | None = None) -> tuple:
+    """Run pop, with placement when place is given; the SimulationResult
+    and its CSV payloads keyed by filename: trajectory.csv, plus
+    events.csv with placement."""
+    if place is None:
+        result, files = simulate(pop, dyn), {}
+    else:
+        result, events = run_with_placement(pop, dyn, place)
+        files = {"events.csv": write_events_csv(events)}
+    return result, {"trajectory.csv": write_trajectory_csv(result.trajectory, result.agents), **files}
+
+
 def dump_trajectories(spec: SweepSpec) -> dict:
-    """TrajectoryDump kind: run the base mixture once, converted first
-    when transform_from is set, with placement when configured, and
-    return the CSV payloads keyed by filename."""
-    pop = _base(spec, spec.population_sizes[0])
-    if spec.transform_from is not None:
-        pop = transform(pop, spec.transform_from, spec.grid[0] if spec.grid else 0.0,
-                        spec.transform_epsilon, rng_seed=0)
-    if spec.placement is not None and spec.placement.budget > 0:
-        result, events = run_with_placement(pop, spec.dynamics, spec.placement)
-        return {
-            "trajectory.csv": write_trajectory_csv(result.trajectory, result.agents),
-            "events.csv": write_events_csv(events),
-        }
-    result = simulate(pop, spec.dynamics)
-    return {"trajectory.csv": write_trajectory_csv(result.trajectory, result.agents)}
+    """TrajectoryDump kind: run_population's files for the base mixture at
+    the one population size, with the spec's placement if it has one."""
+    return run_population(_base(spec, spec.population_sizes[0]), spec.dynamics, spec.placement)[1]
 
 
 def write_sweep_csv(records: list[SweepRecord]) -> str:

@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    MODERATE_EPSILON,
     DynamicsConfig,
     Mindedness,
     Population,
@@ -51,7 +52,7 @@ class Side(str, Enum):
 @dataclass
 class PlacementConfig:
     budget: int
-    epsilon_new: float = 0.2
+    epsilon_new: float = MODERATE_EPSILON
     strategy: Strategy = Strategy.INTELLIGENT
     rng_seed: int = 0
 
@@ -74,7 +75,9 @@ class PlacementEvent:
     clamped records whether clamping moved it.  anchor_agent is the
     anchor's index in the graph (compute_injection) or its agent id
     (run_with_placement's log); it is -1 and side is None for random
-    placements."""
+    placements.  Where the anchor has twins (agents with its opinion and
+    epsilon, which feel the same pulls) it is the last of them in roster
+    order, where injected agents come after the initial ones."""
 
     time: int
     opinion: float
@@ -90,7 +93,8 @@ def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     with no other agent's opinion between them, where i is net-pulled
     right (left pull < right pull, see graph.pulls_all) and j net-pulled
     left (left pull > right pull).  Returned left to right along the
-    spectrum in original indices."""
+    spectrum in original indices.  Among twins (equal opinion and
+    epsilon, so equal pulls) a pair names the last in roster order."""
     x, eps, order = g.opinions, g.epsilons, g.order
     open_ = classify_all(eps) == Mindedness.OPEN
     a, b = order[:-1], order[1:]
@@ -102,7 +106,16 @@ def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     k = k[left < right]
     left, right = _pulls(g, b[k])
     k = k[left > right]
-    return list(zip(a[k].tolist(), b[k].tolist()))
+    return list(zip(_last_twins(g, k), _last_twins(g, k + 1)))
+
+
+def _last_twins(g: InfluenceGraph, pos: np.ndarray) -> list[int]:
+    """For each sort position p, the last agent of p's run of tied opinions
+    (kept in roster order by the stable sort) that has p's epsilon."""
+    eps, order = g.epsilons, g.order
+    s = g.opinions[order]
+    runs = (order[p:end] for p, end in zip(pos.tolist(), np.searchsorted(s, s[pos], "right").tolist()))
+    return [int(run[eps[run] == eps[run[0]]][-1]) for run in runs]
 
 
 def compute_injection(

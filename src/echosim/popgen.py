@@ -17,14 +17,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mindedness, Population, csv_text, require_finite, require_int
+from .core import MODERATE_EPSILON, Mindedness, Population, csv_text, require_finite, require_int
 
 NORMAL_MEAN = 0.5
 NORMAL_SD = 0.125
 
 DEFAULT_EPSILONS = {
     Mindedness.CLOSE: 0.01,
-    Mindedness.MODERATE: 0.2,
+    Mindedness.MODERATE: MODERATE_EPSILON,
     Mindedness.OPEN: 0.45,
 }
 
@@ -130,7 +130,7 @@ def transform(
     pop: Population,
     from_class: Mindedness,
     fraction: float,
-    epsilon_new: float = 0.2,
+    epsilon_new: float = MODERATE_EPSILON,
     rng_seed: int = 0,
 ) -> Population:
     """Convert a seeded uniform pick of round_half_up(fraction * count)
@@ -158,9 +158,10 @@ def _flag(cell: str) -> bool:
 
 
 # The columns of write_population_csv's format, each with its cell
-# parser and what a cell must be.
+# parser and what a cell must be.  np.int64 parses a cell as int does and
+# raises OverflowError outside int64.
 _CSV_CELLS = {
-    "agent_id": (int, "an integer"),
+    "agent_id": (lambda cell: int(np.int64(cell)), "an integer"),
     "opinion": (float, "a number"),
     "epsilon": (float, "a number"),
     "mindedness": (lambda cell: Mindedness(cell).value, "close, moderate or open"),
@@ -205,6 +206,8 @@ def read_population_csv(text: str) -> Population:
                 columns[c].append(parse(row[c]))
             except (TypeError, ValueError):
                 raise ValueError(f"population csv line {line}: {c} must be {what}, got {row[c]!r}") from None
+            except OverflowError:
+                raise ValueError(f"population csv line {line}: {c} must fit in int64, got {row[c]!r}") from None
     if not lines:
         raise ValueError("population csv has no rows")
     try:

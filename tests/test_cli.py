@@ -54,7 +54,7 @@ class TestGen:
         cfg = write_cfg(tmp_path, MIX)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli(["gen", "--config", cfg, "--out", str(out_a), "--quiet"])
-        run_cli(["gen", "--config", cfg, "--out", str(out_b), "--seed", "7", "--quiet"])
+        run_cli(["gen", "--config", cfg, "--out", str(out_b), "--set", "population.rng_seed=7", "--quiet"])
         assert (out_a / "population.csv").read_text() != (out_b / "population.csv").read_text()
 
     def test_csv_kind_round_trips(self, tmp_path):
@@ -223,6 +223,23 @@ class TestSweep:
         assert (tmp_path / "trajectory.csv").exists()
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_trajectory_dump_with_placement_matches_place(self, tmp_path):
+        # a budget-0 placement section still writes events.csv, the same
+        # files as place on the same population
+        mixture = {"n": 20, "fractions": {"close": 0.5, "open": 0.5}, "rng_seed": 3}
+        placement = {"budget": 0}
+        dump = write_cfg(
+            tmp_path,
+            {"kind": "trajectory_dump", "grid": [], "population_sizes": [20], "base_mixture": mixture, "placement": placement},
+            "dump.json",
+        )
+        place = write_cfg(tmp_path, {"population": mixture, "placement": placement}, "place.json")
+        assert run_cli(["sweep", "--config", dump, "--out", str(tmp_path / "dump"), "--quiet"]) == 0
+        assert run_cli(["place", "--config", place, "--out", str(tmp_path / "place"), "--quiet"]) == 0
+        for name in ("trajectory.csv", "events.csv"):
+            assert (tmp_path / "dump" / name).read_bytes() == (tmp_path / "place" / name).read_bytes()
+        assert (tmp_path / "dump" / "events.csv").read_text().count("\n") == 1
+
 
 class TestGraph:
     def test_dot_export(self, tmp_path):
@@ -242,6 +259,21 @@ class TestGraph:
         # consensus profile: everyone is everyone's neighbor
         assert len(payload["edges"]) == 9
 
+
+    def test_unsettled_run_stops_at_max_steps(self, tmp_path):
+        # the run does not settle in 3 steps, so step 50 exports the t = 3
+        # profile, the last one max_steps lets the run reach
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "population": {"kind": "evenly_spaced", "n": 20, "epsilon": 0.2},
+                "dynamics": {"max_steps": 3},
+                "format": "json",
+                "step": 50,
+            },
+        )
+        assert run_cli(["graph", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert json.loads((tmp_path / "graph.json").read_text())["t"] == 3
 
     def test_settled_run_labels_the_step_it_reached(self, tmp_path):
         # the run settles at t_eqm 7, so step 500 exports the t = 8 profile
@@ -384,7 +416,15 @@ class TestExitCodes:
             ({"runs": True}, "runs"),
             ({"population_sizes": [10.5]}, "population_sizes"),
             ({"grid": [True]}, "grid"),
-            ({"transform_epsilon": True}, "transform_epsilon"),
+            (
+                {
+                    "kind": "transform_sweep",
+                    "base_mixture": {"n": 10, "fractions": {"close": 0.5, "open": 0.5}},
+                    "transform_from": "close",
+                    "transform_epsilon": True,
+                },
+                "transform_epsilon",
+            ),
             ({"grid": 0.3}, "grid"),
             ({"population_sizes": 10}, "population_sizes"),
         ],
@@ -416,6 +456,31 @@ class TestExitCodes:
         assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
         assert "trajectory_dump" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("epsilon_sweep", "base_mixture", {"n": 10, "fractions": {"open": 1.0}}),
+            ("epsilon_sweep", "placement", {"budget": 1}),
+            ("epsilon_sweep", "transform_from", "close"),
+            ("transform_sweep", "placement", {"budget": 1}),
+            ("trajectory_dump", "runs", 3),
+        ],
+    )
+    def test_sweep_key_its_kind_does_not_read_rejected(self, tmp_path, capsys, kind, key, value):
+        mixture = {"n": 10, "fractions": {"close": 0.5, "open": 0.5}}
+        cfg = {
+            "epsilon_sweep": {"grid": [0.3]},
+            "transform_sweep": {"grid": [0.3], "base_mixture": mixture, "transform_from": "close"},
+            "trajectory_dump": {"grid": [], "base_mixture": mixture},
+        }[kind]
+        cfg = {"kind": kind, "population_sizes": [10], **cfg}
+        # the config runs without the key
+        assert run_cli(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "ok"), "--quiet"]) == 0
+        path = write_cfg(tmp_path, {**cfg, key: value})
+        assert run_cli(["sweep", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"unknown {kind} keys [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, cfg, section",
@@ -464,18 +529,6 @@ class TestExitCodes:
         assert run_cli(["gen", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert "line 2: mindedness 'open', but epsilon 0.01 is 'close'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_seed_without_mixture_rejected(self, tmp_path, capsys):
-        # neither an evenly spaced nor a csv population has a seed to set
-        spaced = write_cfg(tmp_path, SPACED3)
-        assert run_cli(["simulate", "--config", spaced, "--out", str(tmp_path), "--seed", "7"]) == 1
-        assert "--seed" in capsys.readouterr().err
-        run_cli(["gen", "--config", write_cfg(tmp_path, MIX, "mix.json"), "--out", str(tmp_path), "--quiet"])
-        from_csv = write_cfg(
-            tmp_path, {"population": {"kind": "csv", "path": str(tmp_path / "population.csv")}}, "csv.json"
-        )
-        assert run_cli(["gen", "--config", from_csv, "--out", str(tmp_path / "b"), "--seed", "7"]) == 1
-        assert not (tmp_path / "summary.csv").exists() and not (tmp_path / "b").exists()
 
     def test_output_path_through_file(self, tmp_path):
         cfg = write_cfg(tmp_path, SPACED3)

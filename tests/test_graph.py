@@ -400,14 +400,19 @@ def test_dot_and_json_edges_match_oracle(inst):
 @settings(max_examples=150)
 def test_converging_pairs_match_full_pull_scan(inst):
     # the pairs the full pulls_all scan qualifies: sorted-adjacent opens,
-    # the left one net-pulled right and the right one net-pulled left
+    # the left one net-pulled right and the right one net-pulled left,
+    # each named by its last twin (equal opinion and epsilon) in roster order
     x, eps = inst
     g = build_graph_arrays(x, eps)
     left, right = pulls_all(g)
     open_ = classify_all(eps) == Mindedness.OPEN
     order = np.argsort(x, kind="stable")
+
+    def last_twin(i):
+        return max(k for k in range(len(x)) if x[k] == x[i] and eps[k] == eps[i])
+
     want = [
-        (int(a), int(b))
+        (last_twin(a), last_twin(b))
         for a, b in zip(order[:-1], order[1:])
         if open_[a] and open_[b] and left[a] < right[a] and left[b] > right[b]
     ]

@@ -161,7 +161,7 @@ def test_permuted_population_gives_permuted_placement_run():
         assert np.array_equal(p[perm], q[:base]) and np.array_equal(p[base:], q[base:])
     # every event is the same bit for bit except the anchor's label: once a
     # cluster has merged its agents share one opinion, and the scan names
-    # whichever of them the stable sort puts next to the pair's partner
+    # the last of them in roster order, which the permutation changes
     def unlabelled(result, events):
         return [
             (replace(ev, anchor_agent=-1), result.trajectory[ev.time][ev.anchor_agent],

@@ -61,6 +61,16 @@ class TestFindConvergingPairs:
         pairs = find_converging_pairs(g)
         assert pairs == [(0, 1), (2, 3)]
 
+    def test_twin_anchor_is_last_in_roster_order(self):
+        # agents 0 and 2 are open twins next to an open agent; the pair
+        # and the events name 2 whichever side of the partner the twins
+        # are on, not the twin the stable sort puts next to the partner
+        assert find_converging_pairs(graph_of([0.3, 0.7, 0.3], [0.45] * 3)) == [(2, 1)]
+        assert find_converging_pairs(graph_of([0.7, 0.3, 0.7], [0.45] * 3)) == [(1, 2)]
+        pop = Population(np.array([0.7, 0.3, 0.7]), np.full(3, 0.45), ids=[10, 11, 12])
+        _, events = run_with_placement(pop, DynamicsConfig(), PlacementConfig(budget=3))
+        assert [(ev.time, ev.anchor_agent, ev.side) for ev in events] == [(0, 11, Side.LEFT), (0, 12, Side.RIGHT)]
+
     def test_tied_opinions_cannot_converge(self):
         # equal opinions produce identical pulls, so one member always
         # fails its strict inequality
@@ -91,8 +101,8 @@ class TestComputeInjection:
     def test_larger_imbalance_needs_more_agents(self):
         # three-vs-three tied blocs: imbalance 0.6, ceil(0.6/0.45) = 2
         g = graph_of([0.4, 0.4, 0.4, 0.6, 0.6, 0.6], [0.45] * 6)
-        assert find_converging_pairs(g) == [(2, 3)]
-        left, right = compute_injection(g, (2, 3))
+        assert find_converging_pairs(g) == [(2, 5)]
+        left, right = compute_injection(g, (2, 5))
         assert left.count == 2 and right.count == 2
 
     def test_counter_pull_flips_net_direction(self):
