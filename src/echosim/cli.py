@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .core import DynamicsConfig, SimulationResult, csv_text, require_int, simulate
 from .graph import build_graph_arrays, export_graph
 from .harness import (
+    SWEEP_KEYS,
     SweepKind,
     SweepSpec,
     aggregate_means,
@@ -81,21 +82,13 @@ _POPULATION_KEYS = {
     "csv": {"kind", "path", "transform"},
 }
 _TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
-# Top-level keys each subcommand reads (sweep configs use _SWEEP_KEYS);
-# a population or placement section it reads must be present.
+# Top-level keys each subcommand reads (sweep configs: SWEEP_KEYS); a
+# population or placement section it reads must be present.
 _COMMAND_KEYS = {
     "gen": {"population"},
     "simulate": {"population", "dynamics"},
     "place": {"population", "dynamics", "placement"},
     "graph": {"population", "dynamics", "step", "format"},
-}
-# Keys each sweep kind reads; any other key is a config error.
-_SWEEP_BASE_KEYS = {"kind", "grid", "population_sizes", "dynamics"}
-_SWEEP_KEYS = {
-    "epsilon_sweep": _SWEEP_BASE_KEYS | {"runs"},
-    "transform_sweep": _SWEEP_BASE_KEYS | {"runs", "base_mixture", "transform_from", "transform_epsilon"},
-    "placement_compare": _SWEEP_BASE_KEYS | {"runs", "base_mixture", "placement"},
-    "trajectory_dump": _SWEEP_BASE_KEYS | {"base_mixture", "placement"},
 }
 
 
@@ -107,9 +100,16 @@ def _check_keys(section: str, cfg, allowed: set) -> None:
         raise ValueError(f"unknown {section} keys {unknown}")
 
 
+def _require(section: str, cfg: dict, keys) -> None:
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ValueError(f"{section} has no {missing[0]!r} key")
+
+
 def _section(name: str, cfg, cls):
     """Build the dataclass cls from the config section of that name."""
     _check_keys(name, cfg, {f.name for f in fields(cls)})
+    _require(name, cfg, [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING])
     return cls(**cfg)
 
 
@@ -139,25 +139,29 @@ def _population_from_config(cfg):
         raise ValueError(f"population kind must be one of {list(_POPULATION_KEYS)}, got {kind!r}")
     _check_keys("population", cfg, _POPULATION_KEYS[kind])
     if kind == "evenly_spaced":
+        _require("population", cfg, ("n", "epsilon"))
         pop = evenly_spaced(cfg["n"], cfg["epsilon"])
     elif kind == "mixture":
-        fields = {k: v for k, v in cfg.items() if k not in ("kind", "transform")}
-        pop = clipped_normal_mixture(MixtureSpec(**fields))
+        spec = {k: v for k, v in cfg.items() if k not in ("kind", "transform")}
+        pop = clipped_normal_mixture(_section("population", spec, MixtureSpec))
     else:
+        _require("population", cfg, ("path",))
         pop = read_population_csv(Path(cfg["path"]).read_text())
     t = cfg.get("transform", {})
     _check_keys("transform", t, _TRANSFORM_KEYS)
     if t:
+        _require("transform", t, ("from", "fraction"))
         options = {k: v for k, v in t.items() if k not in ("from", "fraction")}
         pop = transform(pop, t["from"], t["fraction"], **options)
     return pop
 
 
 def _sweep_from_config(cfg: dict) -> SweepSpec:
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in _SWEEP_KEYS:
-        raise ValueError(f"sweep kind must be one of {list(_SWEEP_KEYS)}, got {kind!r}")
-    _check_keys(kind, cfg, _SWEEP_KEYS[kind])
+    kind, kinds = cfg.get("kind"), [k.value for k in SweepKind]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"sweep kind must be one of {kinds}, got {kind!r}")
+    needs, takes = SWEEP_KEYS[SweepKind(kind)]
+    _check_keys(kind, cfg, {"kind", "dynamics", *needs, *takes})
     sections = {"base_mixture": MixtureSpec, "dynamics": DynamicsConfig, "placement": PlacementConfig}
     built = {key: _section(key, cfg[key], cls) for key, cls in sections.items() if key in cfg}
     flat = {k: v for k, v in cfg.items() if k not in sections}

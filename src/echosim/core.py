@@ -121,6 +121,7 @@ class Population:
     def n(self) -> int:
         return len(self.opinions)
 
+    # the same as Population(...); kept because perfbench/workloads.py calls it
     @classmethod
     def from_arrays(cls, opinions, epsilons, injected=None) -> "Population":
         return cls(opinions, epsilons, injected)

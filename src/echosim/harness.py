@@ -36,66 +36,61 @@ class SweepKind(str, Enum):
     TRAJECTORY_DUMP = "trajectory_dump"
 
 
-# Kinds whose cells read the base mixture.
-_MIXTURE_KINDS = (SweepKind.TRANSFORM_SWEEP, SweepKind.PLACEMENT_COMPARE, SweepKind.TRAJECTORY_DUMP)
+# The keys each sweep kind reads besides kind and dynamics, which every
+# kind reads: those it needs (present, and nonempty if a list), then
+# those with a default it may take.  The CLI rejects any other key;
+# SweepSpec ignores a field its kind does not list.
+SWEEP_KEYS = {
+    SweepKind.EPSILON_SWEEP: (("grid", "population_sizes"), ("runs",)),
+    SweepKind.TRANSFORM_SWEEP: (
+        ("grid", "population_sizes", "base_mixture", "transform_from"),
+        ("runs", "epsilon_new"),
+    ),
+    SweepKind.PLACEMENT_COMPARE: (("grid", "population_sizes", "base_mixture"), ("runs", "epsilon_new")),
+    SweepKind.TRAJECTORY_DUMP: (("base_mixture",), ("placement",)),
+}
 
 
 @dataclass
 class SweepSpec:
-    """Grid semantics by kind: epsilon values for EpsilonSweep,
-    conversion fractions for TransformSweep, budget fractions of n for
-    PlacementCompare, which sets the placement budget, strategy and
-    rng_seed itself.  TrajectoryDump runs one population size and no
-    grid value.  A kind ignores the fields it does not read; the CLI
-    rejects a config that sets them."""
+    """Grid semantics by kind: epsilon values for epsilon_sweep,
+    conversion fractions for transform_sweep, budget fractions of n for
+    placement_compare, whose runs place epsilon_new agents.
+    trajectory_dump runs its base mixture once, at base_mixture.n.  A
+    kind that reads both base_mixture and population_sizes builds the
+    mixture at each size, and base_mixture.n must be one of them."""
 
     kind: SweepKind
-    grid: list
-    population_sizes: list
+    grid: list = field(default_factory=list)
+    population_sizes: list = field(default_factory=list)
     base_mixture: MixtureSpec | None = None
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
     placement: PlacementConfig | None = None
     runs: int = 5
     transform_from: Mindedness | None = None
-    transform_epsilon: float = MODERATE_EPSILON
+    epsilon_new: float = MODERATE_EPSILON
 
     def __post_init__(self) -> None:
         self.kind = SweepKind(self.kind)
         require_int("runs", self.runs)
-        require_finite("transform_epsilon", self.transform_epsilon)
-        for name in ("grid", "population_sizes"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
-        for n in self.population_sizes:
-            require_int("population_sizes", n)
-        for point in self.grid:
-            require_finite("grid", point)
-        if self.kind is not SweepKind.TRAJECTORY_DUMP and not self.grid:
-            raise ValueError("grid must be nonempty")
-        if not self.population_sizes:
-            raise ValueError("population_sizes must be nonempty")
+        require_finite("epsilon_new", self.epsilon_new)
+        for name, require in (("grid", require_finite), ("population_sizes", require_int)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            for value in values:
+                require(name, value)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.transform_from is not None:
             self.transform_from = Mindedness(self.transform_from)
-        if self.kind in _MIXTURE_KINDS and self.base_mixture is None:
-            raise ValueError(f"{self.kind.value} needs a base_mixture")
-        if self.kind is SweepKind.PLACEMENT_COMPARE and self.placement is not None:
-            p = self.placement
-            for name, value, unset in (
-                ("budget", p.budget, 0),
-                ("strategy", p.strategy.value, Strategy.INTELLIGENT.value),
-                ("rng_seed", p.rng_seed, 0),
-            ):
-                if value != unset:
-                    raise ValueError(
-                        f"placement.{name} must be left at {unset!r}: placement_compare sets it "
-                        f"from the grid and the run seeds, got {value!r}"
-                    )
-        if self.kind is SweepKind.TRANSFORM_SWEEP and self.transform_from is None:
-            raise ValueError("transform_sweep needs transform_from")
-        if self.kind is SweepKind.TRAJECTORY_DUMP and (len(self.population_sizes) > 1 or self.grid):
-            raise ValueError("trajectory_dump takes one population size and no grid values")
+        needs = SWEEP_KEYS[self.kind][0]
+        for name in needs:
+            if getattr(self, name) in (None, [], ()):
+                raise ValueError(f"{self.kind.value} needs {name}, got {getattr(self, name)!r}")
+        base, sizes = self.base_mixture, self.population_sizes
+        if {"base_mixture", "population_sizes"} <= {*needs} and base.n not in sizes:
+            raise ValueError(f"base_mixture.n {base.n} is not one of population_sizes {sizes}")
 
 
 @dataclass
@@ -126,11 +121,6 @@ def _record(spec, point, n, seed, result, strategy=None, spent=None):
     )
 
 
-def _base(spec: SweepSpec, n: int):
-    """The sweep's base mixture at population size n."""
-    return clipped_normal_mixture(replace(spec.base_mixture, n=n))
-
-
 # Cell functions: the records of one (population size, grid point) cell,
 # one per run, in run order.  base is the base mixture at size n, or None
 # for a kind that does not read it.
@@ -148,7 +138,7 @@ def run_transform_sweep(spec: SweepSpec, n: int, frac: float, base) -> list[Swee
     mixture convert."""
     records = []
     for seed in range(spec.runs):
-        pop = transform(base, spec.transform_from, frac, spec.transform_epsilon, rng_seed=seed)
+        pop = transform(base, spec.transform_from, frac, spec.epsilon_new, rng_seed=seed)
         records.append(_record(spec, frac, n, seed, simulate(pop, spec.dynamics)))
     return records
 
@@ -157,13 +147,13 @@ def run_placement_compare(spec: SweepSpec, n: int, b: float, base) -> list[Sweep
     """Intelligent once, recorded under the mixture's seed, then random
     over `runs` placement seeds, on the same base mixture; budget =
     round_half_up(b * n)."""
-    place = replace(spec.placement or PlacementConfig(budget=0), budget=round_half_up(float(b) * n))
+    budget = round_half_up(float(b) * n)
     runs = [(Strategy.INTELLIGENT, spec.base_mixture.rng_seed)]
     runs += [(Strategy.RANDOM_AT_START, seed) for seed in range(spec.runs)]
     records = []
     for strategy, seed in runs:
         # the intelligent strategy draws nothing, so its rng_seed is inert
-        cfg = replace(place, strategy=strategy, rng_seed=seed)
+        cfg = PlacementConfig(budget, spec.epsilon_new, strategy, seed)
         result, events = run_with_placement(base, spec.dynamics, cfg)
         records.append(_record(spec, b, n, seed, result, strategy, budget_spent(events)))
     return records
@@ -180,9 +170,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     }.get(spec.kind)
     if cell is None:
         raise ValueError(f"{spec.kind.value} emits trajectories, not sweep records")
+    reads_base = "base_mixture" in SWEEP_KEYS[spec.kind][0]
     records = []
     for n in spec.population_sizes:
-        base = _base(spec, n) if spec.kind in _MIXTURE_KINDS else None
+        base = clipped_normal_mixture(replace(spec.base_mixture, n=n)) if reads_base else None
         for point in spec.grid:
             records.extend(cell(spec, n, point, base))
     return records
@@ -201,9 +192,9 @@ def run_population(pop: Population, dyn: DynamicsConfig, place: PlacementConfig 
 
 
 def dump_trajectories(spec: SweepSpec) -> dict:
-    """TrajectoryDump kind: run_population's files for the base mixture at
-    the one population size, with the spec's placement if it has one."""
-    return run_population(_base(spec, spec.population_sizes[0]), spec.dynamics, spec.placement)[1]
+    """trajectory_dump kind: run_population's files for the base mixture,
+    with the spec's placement if it has one."""
+    return run_population(clipped_normal_mixture(spec.base_mixture), spec.dynamics, spec.placement)[1]
 
 
 def write_sweep_csv(records: list[SweepRecord]) -> str:

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import MODERATE_EPSILON, Mindedness, Population, csv_text, require_finite, require_int
+from .core import MODERATE_EPSILON, Mindedness, Population, classify_all, csv_text, require_finite, require_int
 
 NORMAL_MEAN = 0.5
 NORMAL_SD = 0.125
@@ -73,6 +73,9 @@ class MixtureSpec:
             raise ValueError("fractions must be nonnegative")
         if abs(sum(self.fractions.values()) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
+        for c, derived in zip(self.epsilons, classify_all(list(self.epsilons.values())).tolist()):
+            if derived != c.value:
+                raise ValueError(f"epsilons.{c} must be a {c.value!r} epsilon, but {self.epsilons[c]!r} is {derived!r}")
         missing = set(self.fractions) - set(self.epsilons)
         if missing:
             raise ValueError(f"no epsilon given for classes {sorted(m.value for m in missing)}")
@@ -101,7 +104,7 @@ def evenly_spaced(n: int, epsilon: float) -> Population:
     if n < 2:
         raise ValueError("evenly spaced layout needs at least 2 agents")
     x = np.linspace(0.0, 1.0, n)
-    return Population.from_arrays(x, np.full(n, float(epsilon)))
+    return Population(x, np.full(n, float(epsilon)))
 
 
 def clipped_normal_mixture(spec: MixtureSpec) -> Population:
@@ -123,7 +126,7 @@ def clipped_normal_mixture(spec: MixtureSpec) -> Population:
         x = np.linspace(0.0, 1.0, spec.n)
     else:
         x = np.clip(rng.normal(spec.mean, spec.sd, spec.n), 0.0, 1.0)
-    return Population.from_arrays(x, eps)
+    return Population(x, eps)
 
 
 def transform(

@@ -10,6 +10,7 @@ import pytest
 
 import echosim
 from echosim.cli import main
+from echosim.harness import SWEEP_KEYS, SweepKind
 
 
 def run_cli(argv):
@@ -214,8 +215,6 @@ class TestSweep:
             tmp_path,
             {
                 "kind": "trajectory_dump",
-                "grid": [],
-                "population_sizes": [10],
                 "base_mixture": {"n": 10, "fractions": {"open": 1.0}, "rng_seed": 0},
             },
         )
@@ -230,7 +229,7 @@ class TestSweep:
         placement = {"budget": 0}
         dump = write_cfg(
             tmp_path,
-            {"kind": "trajectory_dump", "grid": [], "population_sizes": [20], "base_mixture": mixture, "placement": placement},
+            {"kind": "trajectory_dump", "base_mixture": mixture, "placement": placement},
             "dump.json",
         )
         place = write_cfg(tmp_path, {"population": mixture, "placement": placement}, "place.json")
@@ -401,6 +400,7 @@ class TestExitCodes:
             ({"fractions": {"open": True}}, "fractions.open"),
             ({"fractions": {"open": 1.0}, "epsilons": {"open": True}}, "epsilons.open"),
             ({"kind": ["mixture"]}, "kind"),
+            ({"fractions": {"close": 1.0}, "epsilons": {"close": 0.45}}, "epsilons.close"),
         ],
     )
     def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
@@ -421,9 +421,9 @@ class TestExitCodes:
                     "kind": "transform_sweep",
                     "base_mixture": {"n": 10, "fractions": {"close": 0.5, "open": 0.5}},
                     "transform_from": "close",
-                    "transform_epsilon": True,
+                    "epsilon_new": True,
                 },
-                "transform_epsilon",
+                "epsilon_new",
             ),
             ({"grid": 0.3}, "grid"),
             ({"population_sizes": 10}, "population_sizes"),
@@ -465,16 +465,21 @@ class TestExitCodes:
             ("epsilon_sweep", "transform_from", "close"),
             ("transform_sweep", "placement", {"budget": 1}),
             ("trajectory_dump", "runs", 3),
+            # trajectory_dump runs base_mixture once, at its own n
+            ("trajectory_dump", "grid", []),
+            ("trajectory_dump", "population_sizes", [10]),
         ],
     )
     def test_sweep_key_its_kind_does_not_read_rejected(self, tmp_path, capsys, kind, key, value):
         mixture = {"n": 10, "fractions": {"close": 0.5, "open": 0.5}}
+        sweep = {"grid": [0.3], "population_sizes": [10]}
         cfg = {
-            "epsilon_sweep": {"grid": [0.3]},
-            "transform_sweep": {"grid": [0.3], "base_mixture": mixture, "transform_from": "close"},
-            "trajectory_dump": {"grid": [], "base_mixture": mixture},
+            "epsilon_sweep": sweep,
+            "transform_sweep": {**sweep, "base_mixture": mixture, "transform_from": "close"},
+            "placement_compare": {**sweep, "base_mixture": mixture, "runs": 1},
+            "trajectory_dump": {"base_mixture": mixture},
         }[kind]
-        cfg = {"kind": kind, "population_sizes": [10], **cfg}
+        cfg = {"kind": kind, **cfg}
         # the config runs without the key
         assert run_cli(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "ok"), "--quiet"]) == 0
         path = write_cfg(tmp_path, {**cfg, key: value})
@@ -512,14 +517,43 @@ class TestExitCodes:
         assert f"echosim: invalid config: {section} must" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
-    @pytest.mark.parametrize("name, value", [("budget", 77), ("strategy", "random_at_start"), ("rng_seed", 9)])
-    def test_placement_compare_rejects_fields_it_sets(self, tmp_path, capsys, name, value):
-        cfg = json.loads((Path(__file__).resolve().parents[1] / "experiments" / "placement_compare.json").read_text())
-        cfg["placement"][name] = value
+    @pytest.mark.parametrize("kind, extra", [("transform_sweep", {"transform_from": "close"}), ("placement_compare", {})])
+    def test_base_mixture_size_not_swept_rejected(self, tmp_path, capsys, kind, extra):
+        # the sweep draws the mixture at each size, so n 7 would never run
+        mixture = {"n": 7, "fractions": {"close": 0.5, "open": 0.5}}
+        cfg = {"kind": kind, "grid": [0.3], "population_sizes": [20, 30], "base_mixture": mixture, **extra}
         path = write_cfg(tmp_path, cfg)
         assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert f"placement.{name} must be left at" in err and "the grid and the run seeds" in err
+        assert "base_mixture.n 7 is not one of population_sizes [20, 30]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command, cfg, section, key",
+        [
+            ("gen", {"population": {"kind": "evenly_spaced", "n": 5}}, "population", "epsilon"),
+            ("gen", {"population": {"kind": "csv"}}, "population", "path"),
+            ("gen", {"population": {**MIX["population"], "transform": {"fraction": 0.5}}}, "transform", "from"),
+            ("gen", {"population": {**MIX["population"], "transform": {"from": "close"}}}, "transform", "fraction"),
+            ("gen", {"population": {"kind": "mixture", "fractions": {"open": 1.0}}}, "population", "n"),
+            ("place", {**SPACED3, "placement": {"epsilon_new": 0.2}}, "placement", "budget"),
+            ("sweep", {"kind": "trajectory_dump", "base_mixture": {"fractions": {"open": 1.0}}}, "base_mixture", "n"),
+        ],
+    )
+    def test_missing_key_named(self, tmp_path, capsys, command, cfg, section, key):
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"echosim: invalid config: {section} has no {key!r} key" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("name, value", [("budget", 77), ("strategy", "random_at_start"), ("rng_seed", 9)])
+    def test_placement_compare_rejects_fields_it_sets(self, tmp_path, capsys, name, value):
+        # placement_compare sets every run's placement from its grid, its run
+        # seeds and epsilon_new, so a placement section is a key it does not read
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "experiments" / "placement_compare.json").read_text())
+        cfg["placement"] = {name: value}
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "unknown placement_compare keys ['placement']" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_csv_mindedness_contradicting_epsilon_rejected(self, tmp_path, capsys):
@@ -563,3 +597,15 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "wrote" in proc.stderr
     assert (tmp_path / "summary.csv").read_text().endswith("3,2,true,1\n")
+
+
+def test_readme_sweep_key_table_is_harness_table():
+    # the README's "| kind | needs | may take |" rows, read back as SWEEP_KEYS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    kinds = {k.value for k in SweepKind}
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in kinds:
+            rows[cells[0]] = tuple(tuple(key.strip().strip("`") for key in c.split(",")) for c in cells[1:])
+    assert rows == {k.value: keys for k, keys in SWEEP_KEYS.items()}

@@ -48,7 +48,7 @@ def transform_spec(grid, n=40, runs=3, seed=0):
             n=n, fractions={M.CLOSE: 0.8, M.OPEN: 0.2}, rng_seed=seed
         ),
         transform_from=M.CLOSE,
-        transform_epsilon=0.2,
+        epsilon_new=0.2,
     )
 
 
@@ -124,6 +124,16 @@ class TestTransformSweep:
                 base_mixture=MixtureSpec(n=10, fractions={M.CLOSE: 1.0}),
             )
 
+    def test_base_mixture_size_must_be_swept(self):
+        with pytest.raises(ValueError, match=r"base_mixture.n 40 is not one of population_sizes \[30\]"):
+            SweepSpec(
+                kind=SweepKind.TRANSFORM_SWEEP,
+                grid=[0.5],
+                population_sizes=[30],
+                base_mixture=MixtureSpec(n=40, fractions={M.CLOSE: 1.0}),
+                transform_from=M.CLOSE,
+            )
+
     def test_requires_base_mixture(self):
         with pytest.raises(ValueError):
             SweepSpec(
@@ -144,7 +154,6 @@ class TestPlacementCompare:
             base_mixture=MixtureSpec(
                 n=n, fractions={M.CLOSE: 0.5, M.OPEN: 0.5}, rng_seed=0
             ),
-            placement=PlacementConfig(budget=0),
         )
 
     def test_record_count(self):
@@ -206,8 +215,6 @@ class TestTrajectoryDump:
     def test_plain_dump(self):
         spec = SweepSpec(
             kind=SweepKind.TRAJECTORY_DUMP,
-            grid=[],
-            population_sizes=[20],
             base_mixture=MixtureSpec(
                 n=20, fractions={M.CLOSE: 0.2, M.OPEN: 0.8}, rng_seed=0
             ),
@@ -222,8 +229,6 @@ class TestTrajectoryDump:
     def test_dump_with_placement(self):
         spec = SweepSpec(
             kind=SweepKind.TRAJECTORY_DUMP,
-            grid=[],
-            population_sizes=[10],
             base_mixture=MixtureSpec(
                 n=10, fractions={M.OPEN: 1.0}, rng_seed=1
             ),
@@ -235,8 +240,6 @@ class TestTrajectoryDump:
     def test_run_sweep_rejects_dump_kind(self):
         spec = SweepSpec(
             kind=SweepKind.TRAJECTORY_DUMP,
-            grid=[],
-            population_sizes=[10],
             base_mixture=MixtureSpec(n=10, fractions={M.OPEN: 1.0}),
         )
         with pytest.raises(ValueError):
