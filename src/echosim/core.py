@@ -187,10 +187,11 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     at numpy's own split, a zero adds exactly, so a half that a window
     covers adds the half's own sum (numpy's pairwise sum of that slice),
     a half it misses adds 0, and only the windows that cut a half recurse
-    into it, with bounds relative to the half.  A window cuts at most two
-    nodes per level, so the cost is O(n log n).  A window's sum does not
-    depend on which other windows are asked for, so a caller may ask for
-    each run once."""
+    into it, with bounds relative to the half; a half that no window cuts
+    is not entered.  A window cuts at most two nodes per level, so the
+    cost is O(n log n).  An empty window sums to 0.0.  A window's sum
+    does not depend on which other windows are asked for, so a caller
+    may ask for each run once."""
     m = len(s)
     if m <= _LEAF:
         p = np.arange(m)
@@ -202,7 +203,8 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         covers = (lo <= start) & (hi >= end)
         cuts = (lo < end) & (hi > start) & ~covers
         sums = np.where(covers, part.sum(), 0.0)
-        sums[cuts] = _window_sums(part, lo[cuts] - start, hi[cuts] - start)
+        if cuts.any():
+            sums[cuts] = _window_sums(part, lo[cuts] - start, hi[cuts] - start)
         out = out + sums
     return out
 

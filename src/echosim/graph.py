@@ -13,10 +13,10 @@ window of the sort order, so a graph is held as that order plus two
 window bounds per agent (core._windows, which the update step uses
 too): no edge list and no n x n mask.  Building is O(n log n), degrees
 and pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
-O(n + k log n) for k agents asked for; export is linear in the edge
-count.  Pulls are differences of exact prefix sums, so every pull is
-one fixed function of the sorted opinions and the placement scan's
-exact comparisons hold; they are defined below 2**23 agents.
+O(n log n) at worst; export is linear in the edge count.  Pulls come
+from the update step's window sums (core._window_sums), so every pull
+is one fixed function of the sorted opinions, the placement scan's
+exact comparisons hold, and there is no agent limit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, _windows, classify_all
+from .core import Population, _window_sums, _windows, classify_all
 
 
 @dataclass(frozen=True)
@@ -90,44 +90,23 @@ def in_degrees(g: InfluenceGraph) -> np.ndarray:
     return deg
 
 
-# Pull sums split each opinion v into q = floor(v * 2**30), summed exactly
-# in int64, and the remainder v - q / 2**30, summed in float64, so no
-# prefix sum cancels.  The integer sums convert to float64 exactly while
-# n * 2**30 < 2**53, which bounds the agents a pull can be asked of.
-_SPLIT = 2.0**30
-_MAX_PULL_AGENTS = 1 << 23
-
-
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q = np.floor(v * _SPLIT)
-    return q.astype(np.int64), v - q / _SPLIT
-
-
 def _pulls(g: InfluenceGraph, rows) -> tuple[np.ndarray, np.ndarray]:
     """Left and right pulls of the given rows: left sums x_i - x_k over the
     out-neighbours k strictly below x_i, right sums x_k - x_i over those
-    strictly above; equal opinions add to neither.  A row's pulls do not
-    depend on which other rows are asked for, so the placement scan, the
-    injection sizing and pulls_all agree bit for bit, as the scan's exact
-    comparisons need."""
-    # Over sorted positions [a, b), sum(s_k - x_i) = (sum q_k - c q_i) / 2**30
-    # + (sum r_k - c r_i) with c = b - a.
-    if g.n >= _MAX_PULL_AGENTS:
-        raise ValueError(f"pull sums are exact only below {_MAX_PULL_AGENTS} agents")
+    strictly above; equal opinions add to neither.  Both neighbour sums
+    come from one call to the update step's window sums
+    (core._window_sums), at O(n log n) at worst and with no agent limit.
+    A window's sum does not depend on which other windows are asked for,
+    so a row's pulls do not depend on which other rows are asked for: the
+    placement scan, the injection sizing and pulls_all agree bit for bit,
+    as the scan's exact comparisons need."""
     s = g.opinions[g.order]
-    q, r = _split(s)
-    Q = np.concatenate([[0], np.cumsum(q)])
-    R = np.concatenate([[0.0], np.cumsum(r)])
     x = g.opinions[rows]
-    qi, ri = _split(x)
     lo, hi = g.lo[rows], g.hi[rows]
     # the agents tied with x_i sit at sorted positions [mid_lo, mid_hi)
     mid_lo, mid_hi = np.searchsorted(s, x, "left"), np.searchsorted(s, x, "right")
-    c = mid_lo - lo
-    left = (c * qi - (Q[mid_lo] - Q[lo])) / _SPLIT + (c * ri - (R[mid_lo] - R[lo]))
-    c = hi - mid_hi
-    right = (Q[hi] - Q[mid_hi] - c * qi) / _SPLIT + (R[hi] - R[mid_hi] - c * ri)
-    return left, right
+    below, above = np.split(_window_sums(s, np.concatenate([lo, mid_hi]), np.concatenate([mid_lo, hi])), 2)
+    return (mid_lo - lo) * x - below, above - (hi - mid_hi) * x
 
 
 def pulls_all(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:

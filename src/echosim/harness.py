@@ -74,12 +74,16 @@ class SweepSpec:
         self.kind = SweepKind(self.kind)
         require_int("runs", self.runs)
         require_finite("epsilon_new", self.epsilon_new)
-        for name, require in (("grid", require_finite), ("population_sizes", require_int)):
+        for name, require, least in (("grid", require_finite, 0), ("population_sizes", require_int, 1)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {values!r}")
-            for value in values:
+            for k, value in enumerate(values):
                 require(name, value)
+                if value < least:
+                    raise ValueError(f"{name} must be at least {least}, got {value!r}")
+                if value in values[:k]:
+                    raise ValueError(f"{name} must not repeat {value!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.transform_from is not None:

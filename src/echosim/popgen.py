@@ -64,13 +64,13 @@ class MixtureSpec:
             values = {Mindedness(k): v for k, v in values.items()}
             for k, v in values.items():
                 require_finite(f"{name}.{k}", v)
+                if v < 0.0:
+                    raise ValueError(f"{name}.{k} must be nonnegative, got {v!r}")
             setattr(self, name, {k: float(v) for k, v in values.items()})
         require_finite("mean", self.mean)
         require_finite("sd", self.sd)
         if not self.fractions:
             raise ValueError("fractions must name at least one class")
-        if any(v < 0.0 for v in self.fractions.values()):
-            raise ValueError("fractions must be nonnegative")
         if abs(sum(self.fractions.values()) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
         for c, derived in zip(self.epsilons, classify_all(list(self.epsilons.values())).tolist()):

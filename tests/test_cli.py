@@ -34,6 +34,7 @@ MIX = {
         "rng_seed": 0,
     }
 }
+HALF10 = {"n": 10, "fractions": {"close": 0.5, "open": 0.5}}
 
 
 class TestGen:
@@ -401,6 +402,7 @@ class TestExitCodes:
             ({"fractions": {"open": 1.0}, "epsilons": {"open": True}}, "epsilons.open"),
             ({"kind": ["mixture"]}, "kind"),
             ({"fractions": {"close": 1.0}, "epsilons": {"close": 0.45}}, "epsilons.close"),
+            ({"fractions": {"close": 1.0}, "epsilons": {"close": -0.1}}, "epsilons.close"),
         ],
     )
     def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
@@ -434,6 +436,31 @@ class TestExitCodes:
         path = write_cfg(tmp_path, cfg)
         assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
         assert f"{name} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"population_sizes": [10, 10]}, "population_sizes must not repeat 10"),
+            ({"grid": [0.3, 0.3]}, "grid must not repeat 0.3"),
+            ({"grid": [-0.3]}, "grid must be at least 0, got -0.3"),
+            ({"population_sizes": [10, 0]}, "population_sizes must be at least 1, got 0"),
+            (
+                {"kind": "transform_sweep", "transform_from": "close", "grid": [-0.2], "base_mixture": HALF10},
+                "grid must be at least 0, got -0.2",
+            ),
+            (
+                {"kind": "placement_compare", "grid": [0.1, -0.5], "base_mixture": HALF10},
+                "grid must be at least 0, got -0.5",
+            ),
+        ],
+    )
+    def test_sweep_lists_checked_before_any_cell_runs(self, tmp_path, capsys, values, message):
+        # a repeated entry would run twice and merge into one mean
+        cfg = {"kind": "epsilon_sweep", "grid": [0.3], "population_sizes": [10], "runs": 1, **values}
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"echosim: invalid config: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     @pytest.mark.parametrize(

@@ -247,7 +247,8 @@ class TestExport:
 
 def test_graph_layer_scales_near_linearly():
     # n = 1e5: a dense n x n float array would need 80 GB; the windows,
-    # degrees, reach ranges and pendant scan stay near-linear
+    # degrees, reach ranges, pendant scan, pulls and pair scan stay
+    # near-linear
     n = 100_000
     pop = clipped_normal_mixture(
         MixtureSpec(n=n, fractions={"close": 0.4, "moderate": 0.2, "open": 0.4}, rng_seed=0)
@@ -257,11 +258,15 @@ def test_graph_layer_scales_near_linearly():
     out, inn = out_degrees(g), in_degrees(g)
     comps = strongly_connected_components(g)
     pendant = pendant_in_vertices(g)
+    left, right = pulls_all(g)
+    pairs = find_converging_pairs(g)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"graph layer took {elapsed:.2f} s at n = {n}"
     assert out.sum() == inn.sum() and out.min() >= 1
     assert sum(len(c) for c in comps) == n
     assert all(out[i] == 1 for i in pendant)
+    assert (left >= 0.0).all() and (right >= 0.0).all()
+    assert all(g.opinions[i] <= g.opinions[j] for i, j in pairs)
 
 
 @st.composite

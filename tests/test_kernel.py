@@ -26,7 +26,7 @@ from echosim import (
     run_with_placement,
     simulate,
 )
-from echosim.core import _step_arrays, _windows
+from echosim.core import _step_arrays, _window_sums, _windows
 from echosim.graph import build_graph_arrays
 
 EPS_CHOICES = [0.0, 0.01, 0.05, 0.13, 0.17, 0.2, 0.22, 0.45, 1.0]
@@ -121,6 +121,15 @@ def test_sorted_grid_step_is_dense_step_bit_for_bit(cents, epsilon):
     x = np.sort(np.array(cents) / 100.0)
     eps = np.full(len(x), epsilon)
     assert np.array_equal(_step_arrays(x, eps), dense_step(x, eps))
+
+
+@pytest.mark.parametrize("n", [1, 128, 129, 700])
+def test_window_sums_of_empty_and_whole_windows(n):
+    # pulls ask for empty windows; the whole row is numpy's own sum
+    s = np.random.default_rng(n).random(n)
+    at = np.arange(n + 1)
+    assert _window_sums(s, at, at).tolist() == [0.0] * (n + 1)
+    assert _window_sums(s, np.array([0]), np.array([n])).tolist() == [s.sum()]
 
 
 def test_pulls_match_dense_pulls():
