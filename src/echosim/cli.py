@@ -206,6 +206,8 @@ def _run_command(command: str, cfg: dict) -> dict:
     if step < 0:
         raise ValueError(f"graph step must be nonnegative, got {step}")
     fmt = cfg.get("format", "dot")
+    if fmt not in ("dot", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
     # a run that settles before the step exports its last profile,
     # labelled with the step it was reached at
     traj = [pop.opinions]

@@ -177,23 +177,31 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 # leaf, and a longer run is split at half its length rounded down to a
 # multiple of 8.
 _LEAF = 128
+# a node whose masked block (windows x values) has at most _BLOCK cells,
+# about 0.5 MB of float64, is summed as one block: below this size the
+# recursion's fixed per-call cost outweighs the cells it saves
+_BLOCK = 1 << 16
 
 
 def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """sum(s[lo_i:hi_i]) for every window, in the order of numpy's pairwise
     sum of the row that holds s inside the window and zeros outside it:
     the row sum of the dense 0/1-mask kernel in the sort order, bit for
-    bit.  A leaf is numpy's row reduce of the masked block.  Above a leaf,
-    at numpy's own split, a zero adds exactly, so a half that a window
-    covers adds the half's own sum (numpy's pairwise sum of that slice),
-    a half it misses adds 0, and only the windows that cut a half recurse
-    into it, with bounds relative to the half; a half that no window cuts
-    is not entered.  A window cuts at most two nodes per level, so the
-    cost is O(n log n).  An empty window sums to 0.0.  A window's sum
-    does not depend on which other windows are asked for, so a caller
-    may ask for each run once."""
+    bit.  A leaf (at most _LEAF values), and any node whose masked block
+    has at most _BLOCK cells, is numpy's row reduce of that block.  This
+    is bit-identical to recursing further: numpy reduces a contiguous row
+    of any length along its own pairwise tree, the tree the recursion
+    replays, so stopping early changes only which code walks the tree.
+    Above a block, at numpy's own split, a zero adds exactly, so a half
+    that a window covers adds the half's own sum (numpy's pairwise sum of
+    that slice), a half it misses adds 0, and only the windows that cut a
+    half recurse into it, with bounds relative to the half; a half that
+    no window cuts is not entered.  A window cuts at most two nodes per
+    level, so the cost is O(n log n).  An empty window sums to 0.0.  A
+    window's sum does not depend on which other windows are asked for,
+    so a caller may ask for each run once."""
     m = len(s)
-    if m <= _LEAF:
+    if m <= _LEAF or len(lo) * m <= _BLOCK:
         p = np.arange(m)
         return np.where((lo[:, None] <= p) & (p < hi[:, None]), s, 0.0).sum(axis=1)
     half = m // 2 - (m // 2) % 8

@@ -182,8 +182,8 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
         lines.extend(f'  {i} [label="{i}|{x!r}|{m}"];' for i, (x, m) in enumerate(labels))
         names = np.array([str(j) for j in range(g.n)], dtype=object)
         lines.extend(_edge_lines(g, i, names) for i in np.flatnonzero(out_degrees(g) > 1).tolist())
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines.append("}\n")
+        return "\n".join(lines)
     if fmt == "json":
         payload = {
             "n": g.n,

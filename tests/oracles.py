@@ -73,6 +73,37 @@ def simulate_hk_exact(x, eps, delta=Fraction(1, 10**18), max_steps=1000):
     return None, x
 
 
+def _pairwise(row):
+    n = len(row)
+    if n < 8:
+        total = -0.0
+        for v in row:
+            total += v
+        return total
+    if n <= 128:
+        r = list(row[:8])
+        i = 8
+        while i + 8 <= n:
+            for k in range(8):
+                r[k] += row[i + k]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in row[i:]:
+            total += v
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(row[:half]) + _pairwise(row[half:])
+
+
+def pairwise_sum(row):
+    """numpy's float64 row sum replayed in Python: reduce starts from 0.0
+    and adds the pairwise sum of the row.  Fewer than 8 values are one
+    running sum; up to 128 values run in eight accumulators, combined in
+    a fixed tree before the tail is added; a longer row splits at half
+    its length rounded down to a multiple of 8."""
+    return 0.0 + _pairwise([float(v) for v in row])
+
+
 def count_clusters(profile, tol=1e-3):
     s = sorted(profile)
     count = 1

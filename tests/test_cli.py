@@ -334,6 +334,16 @@ class TestExitCodes:
         assert run_cli(["graph", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
         assert "step" in capsys.readouterr().err
 
+    def test_unknown_graph_format_rejected_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("graph ran the dynamics before checking format")
+
+        monkeypatch.setattr(echosim.cli, "simulate", no_run)
+        path = write_cfg(tmp_path, {**SPACED3, "format": "png", "step": 500})
+        assert run_cli(["graph", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "unknown export format 'png'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("graph.*"))
+
     @pytest.mark.parametrize(
         "command, cfg",
         [

@@ -217,13 +217,19 @@ class TestRegularDegree:
 
 class TestExport:
     def test_dot_structure(self):
-        text = export_graph(tri_graph(), "dot")
-        assert text.startswith("digraph influence {")
-        assert '0 [label="0|0.2|moderate"];' in text  # eps 0.21 sits in the moderate band
-        assert '2 [label="2|0.8|open"];' in text
-        assert "  0 -> 1;" in text
-        assert "  2 -> 0;" in text
-        assert "0 -> 0" not in text  # self-loops omitted in DOT
+        # the whole text, trailing newline included: eps 0.21 sits in the
+        # moderate band, and self-loops are omitted in DOT
+        assert export_graph(tri_graph(), "dot") == (
+            "digraph influence {\n"
+            '  0 [label="0|0.2|moderate"];\n'
+            '  1 [label="1|0.4|moderate"];\n'
+            '  2 [label="2|0.8|open"];\n'
+            "  0 -> 1;\n"
+            "  1 -> 0;\n"
+            "  2 -> 0;\n"
+            "  2 -> 1;\n"
+            "}\n"
+        )
 
     def test_dot_single_vertex_no_edges(self):
         text = export_graph(build_graph_arrays([0.5], [0.1]), "dot")

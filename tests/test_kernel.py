@@ -6,6 +6,7 @@ the population is held in opinion order and within rounding otherwise.
 """
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from echosim import (
     run_with_placement,
     simulate,
 )
-from echosim.core import _step_arrays, _window_sums, _windows
+from echosim.core import _BLOCK, _step_arrays, _window_sums, _windows
 from echosim.graph import build_graph_arrays
 
 EPS_CHOICES = [0.0, 0.01, 0.05, 0.13, 0.17, 0.2, 0.22, 0.45, 1.0]
@@ -130,6 +131,63 @@ def test_window_sums_of_empty_and_whole_windows(n):
     at = np.arange(n + 1)
     assert _window_sums(s, at, at).tolist() == [0.0] * (n + 1)
     assert _window_sums(s, np.array([0]), np.array([n])).tolist() == [s.sum()]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _row(rng, m, kind):
+    """Values whose sum depends on the order they are added in, or rows
+    of zeros where only the sign bits can differ."""
+    if kind == "spread":
+        return rng.random(m) * 10.0 ** rng.integers(-12, 12, m) * rng.choice([-1.0, 1.0], m)
+    if kind == "neg_zero":
+        return np.full(m, -0.0)
+    return np.where(rng.random(m) < 0.5, -0.0, 0.0)
+
+
+def test_pairwise_oracle_is_numpy_row_sum():
+    rng = np.random.default_rng(11)
+    for k in range(400):
+        row = _row(rng, int(rng.integers(0, 3001)), "signed_zero" if k % 10 == 0 else "spread")
+        assert _bits(oracles.pairwise_sum(row)) == _bits(row.sum())
+
+
+@pytest.mark.parametrize("kind", ["spread", "neg_zero", "signed_zero"])
+@pytest.mark.parametrize(
+    "m, count",
+    [(_BLOCK, 1), (_BLOCK + 8, 1)]
+    + [(m, _BLOCK // m + extra) for m in (129, 256, 257, 500, 2000) for extra in (0, 1)],
+)
+def test_window_sums_match_pairwise_oracle_across_block_bound(m, count, kind):
+    # shapes on both sides of the bound: count * m cells summed as one
+    # masked block, or one window or cell more, which recurses first
+    rng = np.random.default_rng(m + count)
+    s = _row(rng, m, kind)
+    lo = rng.integers(0, m + 1, count)
+    hi = lo + rng.integers(0, m + 1 - lo)
+    if count > 1:
+        hi[0] = lo[0]  # empty
+        lo[1], hi[1] = 0, m  # whole
+    p = np.arange(m)
+    want = [oracles.pairwise_sum(np.where((a <= p) & (p < b), s, 0.0)) for a, b in zip(lo, hi)]
+    assert _bits(_window_sums(s, lo, hi)) == _bits(want)
+
+
+def test_no_layer_builds_an_n_by_n_array():
+    # an n x n bool mask alone is 400 MB at n = 2e4; one update step and
+    # one full pull scan each stay within a few MB
+    pop = clipped_normal_mixture(MixtureSpec(n=20_000, fractions={"close": 0.8, "open": 0.2}, rng_seed=0))
+    g = build_graph_arrays(pop.opinions, pop.epsilons)
+    for run in (lambda: _step_arrays(pop.opinions, pop.epsilons), lambda: pulls_all(g)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_pulls_match_dense_pulls():
