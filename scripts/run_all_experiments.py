@@ -10,9 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from echosim.cli import build_parser, dispatch
-
 ROOT = Path(__file__).resolve().parent.parent
+# the script regenerates this checkout's results/, so it imports this
+# checkout's package, installed or not
+sys.path.insert(0, str(ROOT / "src"))
+
+from echosim.cli import build_parser, dispatch  # noqa: E402
 
 
 def main() -> int:

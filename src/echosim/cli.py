@@ -1,11 +1,11 @@
 """Command line front end.
 
 Subcommands: gen (write a population), simulate (trajectory + summary),
-place (trajectory + injection events), sweep (records + per-point
-means; trajectory_dump configs emit trajectories instead), graph
-(DOT/JSON export of a snapshot).  Every run is a pure function of the
-config plus flags, so rerunning a command reproduces its output files
-byte for byte.
+place (trajectory + summary + injection events), sweep (records +
+per-point means; trajectory_dump configs write what simulate or place
+writes instead), graph (DOT/JSON export of a snapshot).  Every run is a
+pure function of the config plus flags, so rerunning a command
+reproduces its output files byte for byte.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on I/O
 errors.  Progress goes to stderr; --quiet silences it.
@@ -19,7 +19,7 @@ import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-from .core import DynamicsConfig, SimulationResult, csv_text, require_int, simulate
+from .core import DynamicsConfig, require_int, simulate
 from .graph import build_graph_arrays, export_graph
 from .harness import (
     SWEEP_KEYS,
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("gen", "generate a population CSV"),
         ("simulate", "run the dynamics, write trajectory and summary"),
-        ("place", "run with agent injection, write trajectory and events"),
+        ("place", "run with agent injection, write trajectory, summary and events"),
         ("sweep", "run a parameter sweep, write records and means"),
         ("graph", "export an influence-graph snapshot"),
     ]:
@@ -168,12 +168,6 @@ def _sweep_from_config(cfg: dict) -> SweepSpec:
     return SweepSpec(**flat, **built)
 
 
-def _summary_csv(result: SimulationResult, cap: int) -> str:
-    t = result.t_eqm if result.converged else cap
-    row = (len(result.trajectory[-1]), t, result.converged, result.c_eqm)
-    return csv_text(("n", "t_eqm", "converged", "c_eqm"), [row])
-
-
 def _run_command(command: str, cfg: dict) -> dict:
     """Build everything from the config and return filename -> text."""
     if command == "sweep":
@@ -195,11 +189,9 @@ def _run_command(command: str, cfg: dict) -> dict:
     if command == "gen":
         return {"population.csv": write_population_csv(pop)}
     dyn = _section("dynamics", cfg.get("dynamics", {}), DynamicsConfig)
-    if command == "simulate":
-        result, files = run_population(pop, dyn)
-        return {**files, "summary.csv": _summary_csv(result, dyn.max_steps)}
-    if command == "place":
-        return run_population(pop, dyn, _section("placement", cfg["placement"], PlacementConfig))[1]
+    if command in ("simulate", "place"):
+        place = _section("placement", cfg["placement"], PlacementConfig) if command == "place" else None
+        return run_population(pop, dyn, place)
     # graph: the snapshot at the configured step
     step = cfg.get("step", 0)
     require_int("step", step)

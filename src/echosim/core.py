@@ -286,17 +286,21 @@ class SimulationResult:
     trajectory[t] is the profile at time t; its length is t_eqm + 2 when
     converged (the profile at t_eqm and its quiet successor are both
     kept) and max_steps + 1 otherwise.  t_eqm is None when the run hit
-    max_steps without settling; c_eqm is then counted on the final
-    profile anyway.  agents is the roster Population matching the
-    trajectory columns: agents injected during the run are appended at
-    the end, and a profile covers only the agents present at its step.
+    max_steps without settling, and converged is derived from it; c_eqm
+    is then counted on the final profile anyway.  agents is the roster
+    Population matching the trajectory columns: agents injected during
+    the run are appended at the end, and a profile covers only the
+    agents present at its step.
     """
 
     trajectory: list
     t_eqm: int | None
-    converged: bool
     c_eqm: int
     agents: Population
+
+    @property
+    def converged(self) -> bool:
+        return self.t_eqm is not None
 
 
 def simulate(
@@ -334,7 +338,6 @@ def simulate(
     return SimulationResult(
         trajectory=traj,
         t_eqm=t_eqm,
-        converged=t_eqm is not None,
         c_eqm=count_clusters(traj[-1], cfg.cluster_tol),
         agents=roster,
     )

@@ -110,19 +110,14 @@ class SweepRecord:
     c_eqm: int
 
 
+def _outcome(result, dyn: DynamicsConfig) -> tuple:
+    """A run's (t_eqm, converged, c_eqm) as sweep.csv and summary.csv
+    report it: a run that did not settle reports t_eqm = max_steps."""
+    return result.t_eqm if result.converged else dyn.max_steps, result.converged, result.c_eqm
+
+
 def _record(spec, point, n, seed, result, strategy=None, spent=None):
-    cap = spec.dynamics.max_steps
-    return SweepRecord(
-        kind=spec.kind,
-        point=float(point),
-        n=n,
-        seed=seed,
-        t_eqm=result.t_eqm if result.converged else cap,
-        converged=result.converged,
-        c_eqm=result.c_eqm,
-        strategy=strategy,
-        budget_spent=spent,
-    )
+    return SweepRecord(spec.kind, float(point), n, seed, strategy, spent, *_outcome(result, spec.dynamics))
 
 
 # Cell functions: the records of one (population size, grid point) cell,
@@ -183,22 +178,24 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
-def run_population(pop: Population, dyn: DynamicsConfig, place: PlacementConfig | None = None) -> tuple:
-    """Run pop, with placement when place is given; the SimulationResult
-    and its CSV payloads keyed by filename: trajectory.csv, plus
-    events.csv with placement."""
+def run_population(pop: Population, dyn: DynamicsConfig, place: PlacementConfig | None = None) -> dict:
+    """Run pop, with placement when place is given, and return its CSV
+    payloads keyed by filename: trajectory.csv and summary.csv, plus
+    events.csv with placement.  The summary is one n,t_eqm,converged,c_eqm
+    row; n counts the injected agents too."""
     if place is None:
         result, files = simulate(pop, dyn), {}
     else:
         result, events = run_with_placement(pop, dyn, place)
         files = {"events.csv": write_events_csv(events)}
-    return result, {"trajectory.csv": write_trajectory_csv(result.trajectory, result.agents), **files}
+    summary = csv_text(("n", "t_eqm", "converged", "c_eqm"), [(result.agents.n, *_outcome(result, dyn))])
+    return {"trajectory.csv": write_trajectory_csv(result.trajectory, result.agents), "summary.csv": summary, **files}
 
 
 def dump_trajectories(spec: SweepSpec) -> dict:
-    """trajectory_dump kind: run_population's files for the base mixture,
-    with the spec's placement if it has one."""
-    return run_population(clipped_normal_mixture(spec.base_mixture), spec.dynamics, spec.placement)[1]
+    """trajectory_dump kind: run_population's files (trajectory, summary,
+    and events when the spec has a placement) for the base mixture."""
+    return run_population(clipped_normal_mixture(spec.base_mixture), spec.dynamics, spec.placement)
 
 
 def write_sweep_csv(records: list[SweepRecord]) -> str:

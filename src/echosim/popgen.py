@@ -84,27 +84,29 @@ class MixtureSpec:
 
 
 def class_counts(spec: MixtureSpec) -> dict:
-    """Agents per class: round half up, last named class absorbs the
-    remainder so the counts always sum to n."""
+    """Agents per class: round half up, capped at the agents not yet
+    assigned; the last named class absorbs the remainder so the counts
+    always sum to n."""
     present = [c for c in _CLASS_ORDER if c in spec.fractions]
     counts = {}
     for c in present[:-1]:
-        counts[c] = round_half_up(spec.fractions[c] * spec.n)
-    rest = spec.n - sum(counts.values())
-    if rest < 0:
-        raise ValueError("rounded class counts exceed n")
-    counts[present[-1]] = rest
+        counts[c] = min(round_half_up(spec.fractions[c] * spec.n), spec.n - sum(counts.values()))
+    counts[present[-1]] = spec.n - sum(counts.values())
     return counts
+
+
+def _spaced(n: int) -> np.ndarray:
+    """The evenly spaced opinions i / (n - 1) of n >= 2 agents."""
+    if n < 2:
+        raise ValueError("evenly spaced layout needs at least 2 agents")
+    return np.linspace(0.0, 1.0, n)
 
 
 def evenly_spaced(n: int, epsilon: float) -> Population:
     """Homogeneous population with x_i = i / (n - 1)."""
     require_int("n", n)
     require_finite("epsilon", epsilon)
-    if n < 2:
-        raise ValueError("evenly spaced layout needs at least 2 agents")
-    x = np.linspace(0.0, 1.0, n)
-    return Population(x, np.full(n, float(epsilon)))
+    return Population(_spaced(n), np.full(n, float(epsilon)))
 
 
 def clipped_normal_mixture(spec: MixtureSpec) -> Population:
@@ -121,9 +123,7 @@ def clipped_normal_mixture(spec: MixtureSpec) -> Population:
     )
     rng.shuffle(eps)
     if spec.opinion_dist is OpinionDist.EVENLY_SPACED:
-        if spec.n < 2:
-            raise ValueError("evenly spaced layout needs at least 2 agents")
-        x = np.linspace(0.0, 1.0, spec.n)
+        x = _spaced(spec.n)
     else:
         x = np.clip(rng.normal(spec.mean, spec.sd, spec.n), 0.0, 1.0)
     return Population(x, eps)

@@ -10,7 +10,9 @@ import pytest
 
 import echosim
 from echosim.cli import main
-from echosim.harness import SWEEP_KEYS, SweepKind
+from echosim.harness import SWEEP_KEYS, SweepKind, SweepSpec, run_sweep, write_sweep_csv
+from echosim.placement import Strategy
+from echosim.popgen import MixtureSpec
 
 
 def run_cli(argv):
@@ -35,6 +37,7 @@ MIX = {
     }
 }
 HALF10 = {"n": 10, "fractions": {"close": 0.5, "open": 0.5}}
+HALF60 = {"n": 60, "fractions": {"close": 0.5, "open": 0.5}, "rng_seed": 3}
 
 
 class TestGen:
@@ -193,6 +196,24 @@ class TestPlace:
         first = (tmp_path / "trajectory.csv").read_text().splitlines()[1:25]
         assert sum(1 for line in first if line.startswith("0,")) == 24
 
+    def test_summary_matches_the_intelligent_sweep_record(self, tmp_path):
+        # the same mixture and budget as one placement_compare cell: the
+        # summary reports the record's outcome, and n counts the injected
+        cfg = write_cfg(tmp_path, {"population": HALF60, "placement": {"budget": 6}})
+        assert run_cli(["place", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        n, *outcome = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+        spec = SweepSpec("placement_compare", [0.1], [60], MixtureSpec(**HALF60), runs=1)
+        record = run_sweep(spec)[0]
+        assert record.strategy is Strategy.INTELLIGENT and record.budget_spent > 0
+        assert outcome == write_sweep_csv([record]).splitlines()[1].split(",")[-3:]
+        assert int(n) == 60 + record.budget_spent
+
+    def test_summary_of_a_run_cut_at_max_steps(self, tmp_path):
+        # two agents injected at t = 1, then cut off unsettled at t = 2
+        cfg = write_cfg(tmp_path, {"population": HALF60, "placement": {"budget": 6}, "dynamics": {"max_steps": 2}})
+        assert run_cli(["place", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert (tmp_path / "summary.csv").read_text() == "n,t_eqm,converged,c_eqm\n62,2,false,22\n"
+
 
 class TestSweep:
     def test_epsilon_sweep_row_counts(self, tmp_path):
@@ -236,7 +257,7 @@ class TestSweep:
         place = write_cfg(tmp_path, {"population": mixture, "placement": placement}, "place.json")
         assert run_cli(["sweep", "--config", dump, "--out", str(tmp_path / "dump"), "--quiet"]) == 0
         assert run_cli(["place", "--config", place, "--out", str(tmp_path / "place"), "--quiet"]) == 0
-        for name in ("trajectory.csv", "events.csv"):
+        for name in ("trajectory.csv", "summary.csv", "events.csv"):
             assert (tmp_path / "dump" / name).read_bytes() == (tmp_path / "place" / name).read_bytes()
         assert (tmp_path / "dump" / "events.csv").read_text().count("\n") == 1
 

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import echosim
 from echosim.cli import build_parser, dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,15 +31,15 @@ def test_sweep_reproduces_results(config, tmp_path):
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-def run_script(*args):
-    # the child imports echosim from where this process does, installed
-    # or not
-    path = [str(Path(echosim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+def run_script(*args, cwd=None):
+    # no PYTHONPATH, as in a plain checkout: the script puts its own
+    # checkout's src/ on its path
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+        cwd=cwd,
     )
 
 
@@ -53,6 +52,13 @@ def test_run_all_experiments_script(tmp_path):
     proc = run_script("--only", "nomatch", "--results", str(tmp_path))
     assert proc.returncode == 1
     assert "no configs found" in proc.stderr
+
+
+def test_run_all_experiments_script_from_a_plain_checkout(tmp_path):
+    # run from elsewhere, with nothing on PYTHONPATH
+    proc = run_script("--only", "trajectory_open", "--results", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in (tmp_path / "out" / "trajectory_open_close").iterdir()} == {"trajectory.csv", "summary.csv"}
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):

@@ -220,7 +220,7 @@ class TestTrajectoryDump:
             ),
         )
         out = dump_trajectories(spec)
-        assert set(out) == {"trajectory.csv"}
+        assert set(out) == {"trajectory.csv", "summary.csv"}
         lines = out["trajectory.csv"].strip().split("\n")
         base = clipped_normal_mixture(spec.base_mixture)
         plain = simulate(base, spec.dynamics)
@@ -235,7 +235,7 @@ class TestTrajectoryDump:
             placement=PlacementConfig(budget=5),
         )
         out = dump_trajectories(spec)
-        assert set(out) == {"trajectory.csv", "events.csv"}
+        assert set(out) == {"trajectory.csv", "summary.csv", "events.csv"}
 
     def test_run_sweep_rejects_dump_kind(self):
         spec = SweepSpec(

@@ -50,8 +50,11 @@ class TestEvenlySpaced:
         assert np.all(pop.epsilons == 0.2)
 
     def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            evenly_spaced(1, 0.2)
+        # a mixture laid out evenly spaced keeps the same rule and message
+        spec = MixtureSpec(n=1, fractions={M.OPEN: 1.0}, opinion_dist=OpinionDist.EVENLY_SPACED)
+        for build in (lambda: evenly_spaced(1, 0.2), lambda: clipped_normal_mixture(spec)):
+            with pytest.raises(ValueError, match="evenly spaced layout needs at least 2 agents"):
+                build()
 
     @pytest.mark.parametrize(
         "n, epsilon, message",
@@ -78,6 +81,14 @@ class TestClassCounts:
         counts = class_counts(spec)
         assert counts[M.CLOSE] == 3 and counts[M.MODERATE] == 3 and counts[M.OPEN] == 4
         assert sum(counts.values()) == 10
+
+    def test_empty_last_class_at_small_n(self):
+        # 0.5 of 3 rounds up to 2 twice; the moderate count is capped at
+        # the one agent left, as it is when open is not named at all
+        spec = MixtureSpec(n=3, fractions={M.CLOSE: 0.5, M.MODERATE: 0.5, M.OPEN: 0.0})
+        assert class_counts(spec) == {M.CLOSE: 2, M.MODERATE: 1, M.OPEN: 0}
+        spec.fractions = {M.CLOSE: 0.5, M.MODERATE: 0.5}
+        assert class_counts(spec) == {M.CLOSE: 2, M.MODERATE: 1}
 
     def test_counts_sum_to_n(self):
         for n in range(1, 40):
