@@ -121,20 +121,22 @@ class Population:
     def n(self) -> int:
         return len(self.opinions)
 
-    # the same as Population(...); kept because perfbench/workloads.py calls it
+    # the same as Population(...), under the name the tests and perfbench use
     @classmethod
     def from_arrays(cls, opinions, epsilons, injected=None) -> "Population":
         return cls(opinions, epsilons, injected)
 
     def extended(self, opinions, epsilons) -> "Population":
         """Append injected agents with ids m + 1, m + 2, ... where m is the
-        largest id so far (n - 1 for the default ids)."""
-        k = len(opinions)
+        largest id so far (n - 1 for the default ids); none may pass int64."""
+        k, m = len(opinions), int(self.ids.max())
+        if m > np.iinfo(np.int64).max - k:
+            raise ValueError(f"cannot add {k} agent ids after the largest id {m}: they would pass int64")
         return Population(
             np.concatenate([self.opinions, opinions]),
             np.concatenate([self.epsilons, np.broadcast_to(epsilons, k)]),
             np.concatenate([self.injected, np.ones(k, dtype=bool)]),
-            np.concatenate([self.ids, self.ids.max() + 1 + np.arange(k)]),
+            np.concatenate([self.ids, m + 1 + np.arange(k)]),
         )
 
 
@@ -222,8 +224,10 @@ def _step_arrays(
     eps: np.ndarray,
     rule: Rule = Rule.HK,
     w_own=W_OWN,
+    windows=None,
 ) -> np.ndarray:
-    """One synchronous update on raw arrays, from the sorted windows.
+    """One synchronous update on raw arrays, from the sorted windows
+    _windows(x, eps), which are built here unless passed in.
 
     The neighbourhood sums depend only on the sorted opinions, so a
     permuted population takes the permuted step bit for bit.  HK_MOD
@@ -231,7 +235,7 @@ def _step_arrays(
     1/|N_i| recovers the plain rule); DynamicsConfig restricts the
     configured value to (0.5, 1] so that own opinion outweighs the rest.
     """
-    order, lo, hi = _windows(x, eps)
+    order, lo, hi = _windows(x, eps) if windows is None else windows
     sizes = hi - lo
     # neighbours in the sort order with the same window, such as a merged
     # cluster that shares one epsilon, form a run; its sum is taken once
@@ -310,11 +314,12 @@ def simulate(
 ) -> SimulationResult:
     """Run the configured rule until quiet (max move <= delta) or max_steps.
 
-    intervene(t, x, eps), when given, is called before each step with the
-    current profile and epsilons.  It returns None, or the opinions and
-    epsilons of agents to inject: they are appended to the roster and to
-    the profile at t, take part in step t, and keep the run from counting
-    step t as quiet.
+    intervene(t, x, eps, windows), when given, is called before each step
+    with the current profile, epsilons and sorted windows, which the step's
+    update then reuses.  It returns None, or the opinions and epsilons of
+    agents to inject: they are appended to the roster and to the profile at
+    t (rebuilding the windows), take part in step t, and keep the run from
+    counting step t as quiet.
     """
     cfg = cfg or DynamicsConfig()
     roster = pop
@@ -323,13 +328,15 @@ def simulate(
     traj = [x]
     t_eqm = None
     for t in range(cfg.max_steps):
-        added = intervene(t, x, eps) if intervene else None
+        windows = _windows(x, eps)
+        added = intervene(t, x, eps, windows) if intervene else None
         if added is not None:
             roster = roster.extended(*added)
             x = np.concatenate([x, roster.opinions[len(x):]])
             eps = roster.epsilons
             traj[-1] = x
-        x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own)
+            windows = _windows(x, eps)
+        x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own, windows)
         traj.append(x1)
         if added is None and float(np.max(np.abs(x1 - x))) <= cfg.delta:
             t_eqm = t

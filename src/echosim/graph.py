@@ -10,9 +10,10 @@ arguments and the placement scan.
 
 Sorted by opinion, every agent's out-neighbours form one contiguous
 window of the sort order, so a graph is held as that order plus two
-window bounds per agent (core._windows, which the update step uses
-too): no edge list and no n x n mask.  Building is O(n log n), degrees
-and pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
+window bounds per agent (core._windows; in a run, simulate builds them
+once per step for both the update and the placement scan's graph): no
+edge list and no n x n mask.  Building is O(n log n), degrees and
+pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
 O(n log n) at worst; export is linear in the edge count.  Pulls come
 from the update step's window sums (core._window_sums), so every pull
 is one fixed function of the sorted opinions, the placement scan's

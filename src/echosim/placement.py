@@ -9,11 +9,13 @@ the net pulls outward.  The baseline strategy offers the whole budget
 at t=0 as single agents at uniform random positions over the initial
 opinion support.
 
-A strategy is only the batches it offers at each step; one budget loop
-inside simulate takes them, so both strategies inject and count t_eqm
-by the same rule.  All decisions within one step are evaluated against
-the frozen start-of-step profile: agents injected at step t participate
-in the update from t onward but can only anchor injections from t+1.
+A strategy is only the batches it offers at each step, judged on that
+step's influence graph, which holds the sorted windows simulate builds
+for the step's update; one budget loop inside simulate takes them, so
+both strategies inject and count t_eqm by the same rule.  All decisions
+within one step are evaluated against the frozen start-of-step profile:
+agents injected at step t participate in the update from t onward but
+can only anchor injections from t+1.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .core import (
     require_int,
     simulate,
 )
-from .graph import InfluenceGraph, _pulls, build_graph_arrays
+from .graph import InfluenceGraph, _pulls
 
 
 class Strategy(str, Enum):
@@ -160,32 +162,19 @@ def _batch(g: InfluenceGraph, anchor: int, imbalance: float, side: Side) -> Plac
 
 
 def _offers(pop: Population, place: PlacementConfig):
-    """The strategy as a function offers(t, x, eps): the batches it
-    offers at step t, judged on the start-of-step profile x and
-    epsilons eps."""
+    """The strategy as a function offers(g): the batches it offers at
+    step g.timestamp, judged on the start-of-step influence graph g."""
     if place.strategy is Strategy.RANDOM_AT_START:
         rng = np.random.default_rng(place.rng_seed)
         x0 = pop.opinions
         draws = rng.uniform(float(x0.min()), float(x0.max()), place.budget)
         start = [
-            PlacementEvent(
-                time=0,
-                opinion=d,
-                requested_opinion=d,
-                count=1,
-                anchor_agent=-1,
-                side=None,
-                clamped=False,
-            )
+            PlacementEvent(time=0, opinion=d, requested_opinion=d, count=1, anchor_agent=-1, side=None, clamped=False)
             for d in draws.tolist()
         ]
-        return lambda t, x, eps: start if t == 0 else ()
+        return lambda g: start if g.timestamp == 0 else ()
 
-    def intelligent(t, x, eps):
-        g = build_graph_arrays(x, eps, t)
-        return (ev for pair in find_converging_pairs(g) for ev in compute_injection(g, pair))
-
-    return intelligent
+    return lambda g: (ev for pair in find_converging_pairs(g) for ev in compute_injection(g, pair))
 
 
 def run_with_placement(
@@ -204,12 +193,12 @@ def run_with_placement(
     events: list[PlacementEvent] = []
     budget = place.budget
 
-    def intervene(t, x, eps):
+    def intervene(t, x, eps, windows):
         nonlocal budget
         if budget == 0:
             return None
         batches = []
-        for ev in offers(t, x, eps):
+        for ev in offers(InfluenceGraph(x, eps, *windows, t)):
             if budget < ev.count:
                 break
             batches.append(ev)

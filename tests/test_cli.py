@@ -622,6 +622,16 @@ class TestExitCodes:
         assert "line 2: mindedness 'open', but epsilon 0.01 is 'close'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_injected_ids_past_int64_rejected(self, tmp_path, capsys):
+        # the next id after the largest would wrap to -2**63
+        pop_csv = tmp_path / "pop.csv"
+        pop_csv.write_text("agent_id,opinion,epsilon,mindedness,injected\n9223372036854775807,0.5,0.45,open,false\n")
+        place = {"budget": 1, "strategy": "random_at_start"}
+        path = write_cfg(tmp_path, {"population": {"kind": "csv", "path": str(pop_csv)}, "placement": place})
+        assert run_cli(["place", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "largest id 9223372036854775807" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_path_through_file(self, tmp_path):
         cfg = write_cfg(tmp_path, SPACED3)
         blocker = tmp_path / "blocker"

@@ -15,7 +15,8 @@ from echosim import (
     simulate,
     write_trajectory_csv,
 )
-from echosim.core import _step_arrays
+from echosim import core
+from echosim.core import _step_arrays, _windows
 
 TEN = [0.1, 0.2, 0.4, 0.4, 0.5, 0.7, 0.7, 0.8, 0.8, 1.0]
 
@@ -282,7 +283,7 @@ class TestSimulate:
         pop = Population.from_arrays(np.linspace(0, 1, 30), [0.2] * 30)
         plain = simulate(pop)
         seen = []
-        r = simulate(pop, intervene=lambda t, x, eps: seen.append(t))
+        r = simulate(pop, intervene=lambda t, x, eps, windows: seen.append(t))
         assert seen == list(range(r.t_eqm + 1))
         assert r.t_eqm == plain.t_eqm and r.agents is pop
         for a, b in zip(r.trajectory, plain.trajectory):
@@ -290,13 +291,34 @@ class TestSimulate:
 
     def test_intervene_appends_agents_before_step(self):
         pop = Population.from_arrays([0.0, 0.5, 1.0], [0.5] * 3)
-        r = simulate(pop, intervene=lambda t, x, eps: ([0.2], 0.5) if t == 1 else None)
+        r = simulate(pop, intervene=lambda t, x, eps, windows: ([0.2], 0.5) if t == 1 else None)
         assert [len(p) for p in r.trajectory] == [3] + [4] * (len(r.trajectory) - 1)
         assert r.trajectory[1][3] == 0.2
+        # the step after the injection runs on windows of the extended profile
+        assert np.array_equal(r.trajectory[2], _step_arrays(r.trajectory[1], r.agents.epsilons))
         assert r.converged and r.t_eqm > 1
         assert r.agents.ids.tolist() == [0, 1, 2, 3]
         assert r.agents.injected.tolist() == [False, False, False, True]
         assert r.agents.epsilons.tolist() == [0.5, 0.5, 0.5, 0.5]
+
+    def test_intervene_gets_the_windows_of_its_profile(self):
+        pop = Population.from_arrays(np.linspace(0, 1, 30), np.linspace(0.05, 0.3, 30))
+        calls = []
+
+        def intervene(t, x, eps, windows):
+            calls.append(t)
+            fresh = _windows(x, eps)
+            assert all(np.array_equal(a, b) for a, b in zip(windows, fresh))
+            return ([0.5, 0.5], 0.2) if t in (0, 2) else None
+
+        r = simulate(pop, intervene=intervene)
+        assert calls == list(range(r.t_eqm + 1)) and r.agents.n == 34
+
+    def test_one_window_build_per_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "_windows", lambda x, eps: calls.append(len(x)) or _windows(x, eps))
+        r = simulate(Population.from_arrays(np.linspace(0, 1, 30), [0.2] * 30))
+        assert calls == [30] * (len(r.trajectory) - 1)
 
 
 class TestClusters:

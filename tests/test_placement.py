@@ -23,6 +23,7 @@ from echosim import (
     simulate,
     write_events_csv,
 )
+from echosim import core, graph
 from echosim.graph import build_graph_arrays
 
 
@@ -223,6 +224,19 @@ class TestRunWithPlacement:
             assert len(result.trajectory) == result.t_eqm + 2
         else:
             assert len(result.trajectory) == dyn.max_steps + 1
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_one_window_build_per_step_and_per_injection_step(self, monkeypatch, strategy):
+        # the scan's graph reuses the step's windows; only a step that
+        # injects builds them again, for the extended profile
+        calls = []
+        build = core._windows
+        for module in (core, graph):
+            monkeypatch.setattr(module, "_windows", lambda x, eps: calls.append(len(x)) or build(x, eps))
+        pop = clipped_normal_mixture(MixtureSpec(n=200, fractions={"close": 0.5, "open": 0.5}, rng_seed=0))
+        result, events = run_with_placement(pop, DynamicsConfig(), PlacementConfig(budget=20, strategy=strategy))
+        steps = len(result.trajectory) - 1
+        assert events and len(calls) == steps + len({ev.time for ev in events})
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
