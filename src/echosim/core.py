@@ -155,6 +155,13 @@ def _settle(s: np.ndarray, count: np.ndarray, holds) -> np.ndarray:
         count = np.where(fwd, np.searchsorted(s, padded[count + 1], "right"), count)
 
 
+def _bounds(eps: np.ndarray) -> np.ndarray:
+    """The window edges' bounds for _settle's test fl(s - x_i) < bound:
+    -eps_i for the agents below agent i's window, then the next float
+    above eps_i for the agents up to its end."""
+    return np.concatenate([-eps, np.nextafter(eps, np.inf)])
+
+
 def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one neighbourhood representation: the stable opinion sort order
     and, per agent, the window [lo, hi) of sorted positions it listens to.
@@ -170,9 +177,28 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     s = x[order]
     n = len(x)
     x2 = np.concatenate([x, x])
-    bound = np.concatenate([-eps, np.nextafter(eps, np.inf)])
+    bound = _bounds(eps)
     count = _settle(s, np.searchsorted(s, x2 + bound), lambda sp: sp - x2 < bound)
     return order, count[:n], count[n:]
+
+
+def _windows_hold(x: np.ndarray, windows, bound: np.ndarray) -> bool:
+    """Whether windows, built for an earlier profile, equal _windows(x, eps)
+    exactly, where bound is _bounds(eps).  They do when their order still
+    sorts x stably (each adjacent pair strictly increasing, or tied with the
+    lower index first, which is argsort(kind="stable") exactly) and every
+    bound c is still _settle's fixed point: the test holds at padded[c] and
+    fails at padded[c + 1].  The test is monotone in the sorted opinion, so
+    that fixed point is the only one."""
+    order, lo, hi = windows
+    s = x[order]
+    a, b = s[:-1], s[1:]
+    if not ((a < b) | ((a == b) & (order[:-1] < order[1:]))).all():
+        return False
+    padded = np.concatenate([[-np.inf], s, [np.inf]])
+    x2 = np.concatenate([x, x])
+    count = np.concatenate([lo, hi])
+    return bool((padded[count] - x2 < bound).all() and not (padded[count + 1] - x2 < bound).any())
 
 
 # numpy sums a float row pairwise: a run of at most _LEAF values is one
@@ -185,7 +211,17 @@ _LEAF = 128
 _BLOCK = 1 << 16
 
 
-def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _block_mask(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The masked block (windows x values) of the windows [lo, hi) over m
+    values, true inside each window, when the block rule applies to it (at
+    most _LEAF values or at most _BLOCK cells); None when it does not."""
+    if m > _LEAF and len(lo) * m > _BLOCK:
+        return None
+    p = np.arange(m)
+    return (lo[:, None] <= p) & (p < hi[:, None])
+
+
+def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np.ndarray:
     """sum(s[lo_i:hi_i]) for every window, in the order of numpy's pairwise
     sum of the row that holds s inside the window and zeros outside it:
     the row sum of the dense 0/1-mask kernel in the sort order, bit for
@@ -201,11 +237,13 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     no window cuts is not entered.  A window cuts at most two nodes per
     level, so the cost is O(n log n).  An empty window sums to 0.0.  A
     window's sum does not depend on which other windows are asked for,
-    so a caller may ask for each run once."""
+    so a caller may ask for each run once.  mask, when given, is
+    _block_mask(len(s), lo, hi), built once for these windows (_plan)."""
     m = len(s)
-    if m <= _LEAF or len(lo) * m <= _BLOCK:
-        p = np.arange(m)
-        return np.where((lo[:, None] <= p) & (p < hi[:, None]), s, 0.0).sum(axis=1)
+    if mask is None:
+        mask = _block_mask(m, lo, hi)
+    if mask is not None:
+        return np.where(mask, s, 0.0).sum(axis=1)
     half = m // 2 - (m // 2) % 8
     out = 0.0
     for start, part in ((0, s[:half]), (half, s[half:])):
@@ -219,15 +257,30 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _plan(windows) -> tuple:
+    """The step plan of the windows (order, lo, hi): the order, each agent's
+    window size, the runs of equal windows in the sort order (neighbours
+    with the same window, such as a merged cluster that shares one
+    epsilon) as their bounds, each sorted position's run index, and the
+    runs' block mask where the block rule applies (_block_mask).  A pure
+    function of the windows, so a run keeps it while its windows hold."""
+    order, lo, hi = windows
+    lo_s, hi_s = lo[order], hi[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    lo_r, hi_r = lo_s[first], hi_s[first]
+    return order, hi - lo, lo_r, hi_r, np.cumsum(first) - 1, _block_mask(len(order), lo_r, hi_r)
+
+
 def _step_arrays(
     x: np.ndarray,
     eps: np.ndarray,
     rule: Rule = Rule.HK,
     w_own=W_OWN,
-    windows=None,
+    plan=None,
 ) -> np.ndarray:
-    """One synchronous update on raw arrays, from the sorted windows
-    _windows(x, eps), which are built here unless passed in.
+    """One synchronous update on raw arrays, from the step plan
+    _plan(_windows(x, eps)), which is built here unless passed in.
 
     The neighbourhood sums depend only on the sorted opinions, so a
     permuted population takes the permuted step bit for bit.  HK_MOD
@@ -235,15 +288,10 @@ def _step_arrays(
     1/|N_i| recovers the plain rule); DynamicsConfig restricts the
     configured value to (0.5, 1] so that own opinion outweighs the rest.
     """
-    order, lo, hi = _windows(x, eps) if windows is None else windows
-    sizes = hi - lo
-    # neighbours in the sort order with the same window, such as a merged
-    # cluster that shares one epsilon, form a run; its sum is taken once
-    lo_s, hi_s = lo[order], hi[order]
-    first = np.ones(len(x), dtype=bool)
-    first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    order, sizes, lo_r, hi_r, run, mask = _plan(_windows(x, eps)) if plan is None else plan
+    # a run of equal windows takes its sum once
     sums = np.empty(len(x))
-    sums[order] = _window_sums(x[order], lo_s[first], hi_s[first])[np.cumsum(first) - 1]
+    sums[order] = _window_sums(x[order], lo_r, hi_r, mask)[run]
     if rule is Rule.HK:
         out = sums / sizes
     elif rule is Rule.HK_MOD:
@@ -314,6 +362,14 @@ def simulate(
 ) -> SimulationResult:
     """Run the configured rule until quiet (max move <= delta) or max_steps.
 
+    Each step's sorted windows are the last step's while they still hold
+    (_windows_hold, an exact check against the new profile); otherwise the
+    step builds them with _windows.  The step plan (_plan) is built once per
+    windows built, so a run whose neighbourhood structure has settled while
+    its opinions still creep sorts and searches nothing.  Reused windows
+    are exactly _windows(x, eps), so the trajectory is the same bit for bit
+    as a loop of fresh _step_arrays(x, eps, rule, w_own) calls.
+
     intervene(t, x, eps, windows), when given, is called before each step
     with the current profile, epsilons and sorted windows, which the step's
     update then reuses.  It returns None, or the opinions and epsilons of
@@ -325,18 +381,24 @@ def simulate(
     roster = pop
     x = pop.opinions.copy()
     eps = pop.epsilons
+    bound = _bounds(eps)
+    windows = plan = None
     traj = [x]
     t_eqm = None
     for t in range(cfg.max_steps):
-        windows = _windows(x, eps)
+        if windows is None or not _windows_hold(x, windows, bound):
+            windows, plan = _windows(x, eps), None
         added = intervene(t, x, eps, windows) if intervene else None
         if added is not None:
             roster = roster.extended(*added)
             x = np.concatenate([x, roster.opinions[len(x):]])
             eps = roster.epsilons
+            bound = _bounds(eps)
             traj[-1] = x
-            windows = _windows(x, eps)
-        x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own, windows)
+            windows, plan = _windows(x, eps), None
+        if plan is None:
+            plan = _plan(windows)
+        x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own, plan)
         traj.append(x1)
         if added is None and float(np.max(np.abs(x1 - x))) <= cfg.delta:
             t_eqm = t

@@ -134,26 +134,34 @@ def run_epsilon_sweep(spec: SweepSpec, n: int, eps: float, base) -> list[SweepRe
 
 def run_transform_sweep(spec: SweepSpec, n: int, frac: float, base) -> list[SweepRecord]:
     """Per-run transform seeds pick which agents of the fixed base
-    mixture convert."""
-    records = []
+    mixture convert.  A seed whose population equals an earlier seed's
+    (at fraction 0 or 1 every seed converts the same agents) reuses that
+    seed's outcome."""
+    records, seen = [], {}
     for seed in range(spec.runs):
         pop = transform(base, spec.transform_from, frac, spec.epsilon_new, rng_seed=seed)
-        records.append(_record(spec, frac, n, seed, simulate(pop, spec.dynamics)))
+        key = pop.opinions.tobytes() + pop.epsilons.tobytes()
+        if key not in seen:
+            seen[key] = _record(spec, frac, n, seed, simulate(pop, spec.dynamics))
+        records.append(replace(seen[key], seed=seed))
     return records
 
 
 def run_placement_compare(spec: SweepSpec, n: int, b: float, base) -> list[SweepRecord]:
     """Intelligent once, recorded under the mixture's seed, then random
     over `runs` placement seeds, on the same base mixture; budget =
-    round_half_up(b * n)."""
+    round_half_up(b * n).  With budget 0 every run is the same plain
+    simulate (run_with_placement), so it runs once and its record repeats
+    under each strategy and seed."""
     budget = round_half_up(float(b) * n)
     runs = [(Strategy.INTELLIGENT, spec.base_mixture.rng_seed)]
     runs += [(Strategy.RANDOM_AT_START, seed) for seed in range(spec.runs)]
     records = []
     for strategy, seed in runs:
-        # the intelligent strategy draws nothing, so its rng_seed is inert
-        cfg = PlacementConfig(budget, spec.epsilon_new, strategy, seed)
-        result, events = run_with_placement(base, spec.dynamics, cfg)
+        if budget or not records:
+            # the intelligent strategy draws nothing, so its rng_seed is inert
+            cfg = PlacementConfig(budget, spec.epsilon_new, strategy, seed)
+            result, events = run_with_placement(base, spec.dynamics, cfg)
         records.append(_record(spec, b, n, seed, result, strategy, budget_spent(events)))
     return records
 

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,27 @@ def test_run_all_experiments_script_from_a_plain_checkout(tmp_path):
     proc = run_script("--only", "trajectory_open", "--results", str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert {p.name for p in (tmp_path / "out" / "trajectory_open_close").iterdir()} == {"trajectory.csv", "summary.csv"}
+
+
+def test_check_mode_names_each_differing_file_and_writes_nothing(tmp_path):
+    # one config whose committed files match, one whose copy was altered
+    # and lost a file
+    stems = ("trajectory_open_close", "trajectory_with_moderates")
+    configs, results = tmp_path / "experiments", tmp_path / "results"
+    configs.mkdir()
+    for stem in stems:
+        shutil.copy(ROOT / "experiments" / f"{stem}.json", configs)
+        shutil.copytree(ROOT / "results" / stem, results / stem)
+    altered = results / stems[1] / "trajectory.csv"
+    altered.write_bytes(altered.read_bytes().replace(b"0.", b"1.", 1))
+    (results / stems[1] / "summary.csv").unlink()
+    before = {p: p.read_bytes() for p in results.rglob("*") if p.is_file()}
+    proc = run_script("--check", "--experiments", str(configs), "--results", str(results))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [f"differs: {stems[1]}/summary.csv", f"differs: {stems[1]}/trajectory.csv"]
+    assert {p: p.read_bytes() for p in results.rglob("*") if p.is_file()} == before
+    proc = run_script("--check", "--only", stems[0])
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):

@@ -19,6 +19,7 @@ from echosim import (
     dump_trajectories,
     run_sweep,
     simulate,
+    transform,
     write_events_csv,
     write_means_csv,
     write_sweep_csv,
@@ -115,6 +116,22 @@ class TestTransformSweep:
         assert len(records) == 2 * 3
         assert sorted({r.seed for r in records}) == [0, 1, 2]
 
+    def test_identical_populations_run_once(self, monkeypatch):
+        # fractions 0 and 1 convert the same agents under every seed; 0.5
+        # converts different ones per seed.  Each record is the one a run
+        # of its own population gives
+        spec = transform_spec([0.0, 0.5, 1.0], n=40, runs=3)
+        pops = []
+        monkeypatch.setattr(harness, "simulate", lambda pop, dyn: pops.append(pop) or simulate(pop, dyn))
+        records = run_sweep(spec)
+        assert len(pops) == 1 + 3 + 1
+        assert len({p.epsilons.tobytes() for p in pops}) == 5
+        base = clipped_normal_mixture(spec.base_mixture)
+        for r in records:
+            pop = transform(base, M.CLOSE, r.point, 0.2, rng_seed=r.seed)
+            alone = simulate(pop, spec.dynamics)
+            assert (r.t_eqm, r.c_eqm) == (alone.t_eqm, alone.c_eqm)
+
     def test_requires_transform_from(self):
         with pytest.raises(ValueError):
             SweepSpec(
@@ -170,6 +187,17 @@ class TestPlacementCompare:
         for r in records:
             assert r.t_eqm == plain.t_eqm and r.c_eqm == plain.c_eqm
             assert r.budget_spent == 0
+
+    def test_budget_zero_runs_once(self, monkeypatch):
+        calls = []
+        run = harness.run_with_placement
+        monkeypatch.setattr(harness, "run_with_placement", lambda *a: calls.append(a[2].budget) or run(*a))
+        records = run_sweep(self.spec(grid=(0.0, 0.1), runs=3))
+        assert calls == [0] + [3] * 4
+        assert [(r.strategy, r.seed) for r in records[:4]] == [(Strategy.INTELLIGENT, 0)] + [
+            (Strategy.RANDOM_AT_START, seed) for seed in range(3)
+        ]
+        assert len({(r.t_eqm, r.c_eqm, r.budget_spent) for r in records[:4]}) == 1
 
     def test_strategies_labeled(self):
         records = run_sweep(self.spec(grid=(0.2,), runs=2))

@@ -27,7 +27,8 @@ from echosim import (
     run_with_placement,
     simulate,
 )
-from echosim.core import _BLOCK, _step_arrays, _window_sums, _windows
+from echosim import core
+from echosim.core import _BLOCK, _bounds, _step_arrays, _window_sums, _windows, _windows_hold
 from echosim.graph import build_graph_arrays
 
 EPS_CHOICES = [0.0, 0.01, 0.05, 0.13, 0.17, 0.2, 0.22, 0.45, 1.0]
@@ -92,6 +93,124 @@ def test_windows_match_dense_predicate():
         order, lo, hi = _windows(x, eps)
         for i in range(len(x)):
             assert np.array_equal(np.sort(order[lo[i] : hi[i]]), np.flatnonzero(mask[i]))
+
+
+def held(old, new, eps) -> bool:
+    """_windows_hold of old's windows on the profile new, checked to be
+    exactly whether they equal new's fresh windows."""
+    kept, fresh = _windows(old, eps), _windows(new, eps)
+    got = _windows_hold(new, kept, _bounds(eps))
+    assert got == all(np.array_equal(a, b) for a, b in zip(kept, fresh))
+    return got
+
+
+def test_windows_hold_across_steps_of_real_runs():
+    verdicts = []
+    runs = [
+        (clipped_normal_mixture(MixtureSpec(n=200, fractions={"close": 0.5, "open": 0.5}, rng_seed=0)), Rule.HK),
+        (clipped_normal_mixture(MixtureSpec(n=600, fractions={"close": 0.5, "moderate": 0.2, "open": 0.3})), Rule.HK),
+        (evenly_spaced(50, 0.2), Rule.HK_MOD),
+    ]
+    for pop, rule in runs:
+        trajectory = simulate(pop, DynamicsConfig(rule=rule, max_steps=60)).trajectory
+        verdicts += [held(a, b, pop.epsilons) for a, b in zip(trajectory, trajectory[1:])]
+    assert True in verdicts and False in verdicts
+
+
+def test_windows_hold_on_random_edits():
+    # nudges of a few ulps, ties copied from a sort neighbour, small noise
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for x, eps in instances(3, count=40):
+        order = np.argsort(x, kind="stable")
+        for edit in range(3):
+            new = x.copy()
+            k = rng.integers(0, len(x), max(1, len(x) // 20))
+            if edit == 0:
+                new[k] = x[k] + rng.integers(-3, 4, len(k)) * np.spacing(x[k])
+            elif edit == 1:
+                where = rng.integers(0, len(x), len(k))
+                new[order[where]] = x[order[np.minimum(where + 1, len(x) - 1)]]
+            else:
+                new[k] = np.clip(x[k] + rng.normal(0.0, 1e-3, len(k)), 0.0, 1.0)
+            verdicts.append(held(x, new, eps))
+    assert True in verdicts and False in verdicts
+
+
+def test_windows_hold_on_edited_profiles():
+    up, down = np.nextafter(0.25, 1.0), np.nextafter(0.25, 0.0)
+    cases = [
+        # a tie that the stable sort orders the other way: only the order moved
+        ([0.5, 0.4], [0.5, 0.5], [0.2, 0.2], False),
+        ([0.4, 0.5], [0.5, 0.5], [0.2, 0.2], True),
+        # one value moved 1 ulp out of a window, then 1 ulp within it
+        ([0.0, 0.25, 0.75], [0.0, up, 0.75], [0.25] * 3, False),
+        ([0.0, 0.25, 0.75], [0.0, down, 0.75], [0.25] * 3, True),
+        # twins with different epsilons: one twin's window changes
+        ([0.3, 0.3, 0.5], [0.3, 0.3, 0.39], [0.2, 0.1, 0.05], False),
+        ([0.3, 0.3, 0.5], [0.3, 0.3, 0.48], [0.2, 0.1, 0.05], True),
+        # epsilon 0: a new tie joins two windows
+        ([0.1, 0.2, 0.3], [0.1, 0.2, 0.2], [0.0] * 3, False),
+        ([0.1, 0.2, 0.3], [0.1, 0.2, 0.29], [0.0] * 3, True),
+        ([0.3], [0.7], [0.0], True),
+    ]
+    for old, new, eps, want in cases:
+        assert held(np.array(old), np.array(new), np.array(eps)) is want, (old, new)
+
+
+def fresh_run(pop, dyn, inject):
+    """simulate's loop with a fresh _step_arrays(x, eps, rule, w_own) call,
+    windows and plan included, every step: (trajectory, t_eqm)."""
+    roster, x = pop, pop.opinions.copy()
+    trajectory = [x]
+    for t in range(dyn.max_steps):
+        added = inject(t)
+        if added is not None:
+            roster = roster.extended(*added)
+            x = np.concatenate([x, roster.opinions[len(x) :]])
+            trajectory[-1] = x
+        x1 = _step_arrays(x, roster.epsilons, dyn.rule, dyn.w_own)
+        trajectory.append(x1)
+        if added is None and float(np.max(np.abs(x1 - x))) <= dyn.delta:
+            return trajectory, t
+        x = x1
+    return trajectory, None
+
+
+@pytest.mark.parametrize("rule", [Rule.HK, Rule.HK_MOD])
+@pytest.mark.parametrize(
+    "n, inject",
+    [(100, False), (200, False), (4096, False), (200, True)],
+    ids=["leaf", "block", "recursion", "injections"],
+)
+def test_simulate_is_a_loop_of_fresh_steps(monkeypatch, rule, n, inject):
+    fractions = {"close": 0.8, "open": 0.2} if n > 200 else {"close": 0.5, "open": 0.5}
+    pop = clipped_normal_mixture(MixtureSpec(n=n, fractions=fractions, rng_seed=0))
+    dyn = DynamicsConfig(rule=rule, max_steps=40)
+    batches = {0: ([0.1, 0.1, 0.9], 0.2), 2: ([0.5], 0.3), 3: ([0.45, 0.55], 0.05)} if inject else {}
+    want, want_t = fresh_run(pop, dyn, batches.get)
+    builds = []
+    monkeypatch.setattr(core, "_windows", lambda x, eps: builds.append(len(x)) or _windows(x, eps))
+    got = simulate(pop, dyn, lambda t, x, eps, windows: batches.get(t))
+    assert got.t_eqm == want_t and len(got.trajectory) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, want))
+    # the run kept some step's windows
+    assert len(builds) < len(want) - 1
+
+
+def test_injection_on_a_step_that_keeps_its_windows(monkeypatch):
+    # two contracting clusters keep their windows on every step, so the
+    # batch at t = 5 arrives on kept windows and a kept plan
+    pop = Population.from_arrays([0.1, 0.11, 0.12, 0.8, 0.81], [0.05] * 5)
+    dyn = DynamicsConfig(rule=Rule.HK_MOD, w_own=0.9)
+    batches = {5: ([0.5, 0.115], 0.05)}
+    want, want_t = fresh_run(pop, dyn, batches.get)
+    builds = []
+    monkeypatch.setattr(core, "_windows", lambda x, eps: builds.append(len(x)) or _windows(x, eps))
+    got = simulate(pop, dyn, lambda t, x, eps, windows: batches.get(t))
+    assert builds == [5, 7]
+    assert got.t_eqm == want_t and len(got.trajectory) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, want))
 
 
 @pytest.mark.parametrize("rule", [Rule.HK, Rule.HK_MOD])
