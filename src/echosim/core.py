@@ -162,6 +162,12 @@ def _bounds(eps: np.ndarray) -> np.ndarray:
     return np.concatenate([-eps, np.nextafter(eps, np.inf)])
 
 
+# the least gap above a tie: two opinions are in stable order when their
+# gap is at least 0.0 with the lower index first, and at least this (so
+# not tied) with it second
+_TIE = np.nextafter(0.0, 1.0)
+
+
 def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one neighbourhood representation: the stable opinion sort order
     and, per agent, the window [lo, hi) of sorted positions it listens to.
@@ -182,23 +188,43 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return order, count[:n], count[n:]
 
 
-def _windows_hold(x: np.ndarray, windows, bound: np.ndarray) -> bool:
-    """Whether windows, built for an earlier profile, equal _windows(x, eps)
-    exactly, where bound is _bounds(eps).  They do when their order still
-    sorts x stably (each adjacent pair strictly increasing, or tied with the
-    lower index first, which is argsort(kind="stable") exactly) and every
-    bound c is still _settle's fixed point: the test holds at padded[c] and
-    fails at padded[c + 1].  The test is monotone in the sorted opinion, so
-    that fixed point is the only one."""
-    order, lo, hi = windows
+def _windows_slack(x: np.ndarray, plan) -> float:
+    """-1.0 when the windows of plan (_plan), built for an earlier profile,
+    are not _windows(x, eps); otherwise their slack: the least margin of
+    the tests that make them so, which every opinion may move less than
+    half of before they could fail.
+
+    The tests run in the sort order, each with a margin.  The order still
+    sorts x stably when each adjacent gap is at least its tie threshold:
+    0.0 when the lower index comes first, the least float above 0.0 when
+    it comes second (argsort(kind="stable") exactly).  A gap of two tied
+    agents with one window is left out of the slack: they take the same
+    sum over the same count, and in simulate the same w_own, so they stay
+    tied while the windows hold.  Every bound c is still
+    _settle's fixed point when the test fl(padded[c] - x_i) < bound_i
+    holds (margin bound_i - (padded[c] - x_i) > 0) and the test at
+    padded[c + 1] fails (margin (padded[c + 1] - x_i) - bound_i >= 0);
+    the test is monotone in the sorted opinion, so that fixed point is
+    the only one.  Moving two opinions by at most m each moves a gap or
+    a difference padded[c] - x_i by at most 2m, so every test keeps its
+    outcome while 2m, padded for rounding, stays below the slack."""
+    order, edges, bounds, ties, same = plan[0], *plan[6:]
     s = x[order]
-    a, b = s[:-1], s[1:]
-    if not ((a < b) | ((a == b) & (order[:-1] < order[1:]))).all():
-        return False
+    gap = s[1:] - s[:-1]
+    gap -= ties
+    gap[same & (gap == 0.0)] = np.inf
+    least = gap.min(initial=np.inf)
+    if least < 0.0:
+        return -1.0
     padded = np.concatenate([[-np.inf], s, [np.inf]])
-    x2 = np.concatenate([x, x])
-    count = np.concatenate([lo, hi])
-    return bool((padded[count] - x2 < bound).all() and not (padded[count + 1] - x2 < bound).any())
+    margin = padded.take(edges)
+    margin -= s
+    np.subtract(bounds, margin[0], out=margin[0])
+    margin[1] -= bounds
+    inside, outside = margin[0].min(), margin[1].min()
+    if inside <= 0.0 or outside < 0.0:
+        return -1.0
+    return float(min(least, inside, outside))
 
 
 # numpy sums a float row pairwise: a run of at most _LEAF values is one
@@ -226,8 +252,10 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np
     sum of the row that holds s inside the window and zeros outside it:
     the row sum of the dense 0/1-mask kernel in the sort order, bit for
     bit.  A leaf (at most _LEAF values), and any node whose masked block
-    has at most _BLOCK cells, is numpy's row reduce of that block.  This
-    is bit-identical to recursing further: numpy reduces a contiguous row
+    has at most _BLOCK cells, is numpy's row reduce of that block, built
+    in place: a block of +0.0 with s copied into the masked cells, the
+    same bits as np.where(mask, s, 0.0), in less time.  This is
+    bit-identical to recursing further: numpy reduces a contiguous row
     of any length along its own pairwise tree, the tree the recursion
     replays, so stopping early changes only which code walks the tree.
     Above a block, at numpy's own split, a zero adds exactly, so a half
@@ -243,7 +271,9 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np
     if mask is None:
         mask = _block_mask(m, lo, hi)
     if mask is not None:
-        return np.where(mask, s, 0.0).sum(axis=1)
+        block = np.zeros(mask.shape)
+        np.copyto(block, s, where=mask)
+        return block.sum(axis=1)
     half = m // 2 - (m // 2) % 8
     out = 0.0
     for start, part in ((0, s[:half]), (half, s[half:])):
@@ -257,19 +287,35 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np
     return out
 
 
-def _plan(windows) -> tuple:
-    """The step plan of the windows (order, lo, hi): the order, each agent's
-    window size, the runs of equal windows in the sort order (neighbours
-    with the same window, such as a merged cluster that shares one
-    epsilon) as their bounds, each sorted position's run index, and the
-    runs' block mask where the block rule applies (_block_mask).  A pure
-    function of the windows, so a run keeps it while its windows hold."""
+def _plan(windows, bound: np.ndarray) -> tuple:
+    """The step plan of the windows (order, lo, hi) whose epsilons have the
+    bounds bound (_bounds): the order, each agent's window size, the runs
+    of equal windows in the sort order (neighbours with the same window,
+    such as a merged cluster that shares one epsilon) as their bounds, each
+    sorted position's run index and the runs' block mask where the block
+    rule applies (_block_mask); then _windows_slack's pieces, all in the
+    sort order: the window edges it tests, [[lo, hi], [lo + 1, hi + 1]],
+    their bounds, each adjacent pair's tie threshold, and which adjacent
+    pairs share a window with the lower index first.  A pure function of
+    the windows and the epsilons, so a run keeps it while its windows hold."""
     order, lo, hi = windows
     lo_s, hi_s = lo[order], hi[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
     lo_r, hi_r = lo_s[first], hi_s[first]
-    return order, hi - lo, lo_r, hi_r, np.cumsum(first) - 1, _block_mask(len(order), lo_r, hi_r)
+    up = order[:-1] < order[1:]
+    return (
+        order,
+        hi - lo,
+        lo_r,
+        hi_r,
+        np.cumsum(first) - 1,
+        _block_mask(len(order), lo_r, hi_r),
+        np.array([[lo_s, hi_s], [lo_s + 1, hi_s + 1]]),
+        bound.reshape(2, -1).take(order, axis=1),
+        np.where(up, 0.0, _TIE),
+        up & ~first[1:],
+    )
 
 
 def _step_arrays(
@@ -280,7 +326,7 @@ def _step_arrays(
     plan=None,
 ) -> np.ndarray:
     """One synchronous update on raw arrays, from the step plan
-    _plan(_windows(x, eps)), which is built here unless passed in.
+    _plan(_windows(x, eps), _bounds(eps)), built here unless passed in.
 
     The neighbourhood sums depend only on the sorted opinions, so a
     permuted population takes the permuted step bit for bit.  HK_MOD
@@ -288,7 +334,7 @@ def _step_arrays(
     1/|N_i| recovers the plain rule); DynamicsConfig restricts the
     configured value to (0.5, 1] so that own opinion outweighs the rest.
     """
-    order, sizes, lo_r, hi_r, run, mask = _plan(_windows(x, eps)) if plan is None else plan
+    order, sizes, lo_r, hi_r, run, mask = (_plan(_windows(x, eps), _bounds(eps)) if plan is None else plan)[:6]
     # a run of equal windows takes its sum once
     sums = np.empty(len(x))
     sums[order] = _window_sums(x[order], lo_r, hi_r, mask)[run]
@@ -362,13 +408,21 @@ def simulate(
 ) -> SimulationResult:
     """Run the configured rule until quiet (max move <= delta) or max_steps.
 
-    Each step's sorted windows are the last step's while they still hold
-    (_windows_hold, an exact check against the new profile); otherwise the
-    step builds them with _windows.  The step plan (_plan) is built once per
-    windows built, so a run whose neighbourhood structure has settled while
-    its opinions still creep sorts and searches nothing.  Reused windows
-    are exactly _windows(x, eps), so the trajectory is the same bit for bit
-    as a loop of fresh _step_arrays(x, eps, rule, w_own) calls.
+    Each step's sorted windows are the last step's while they still hold;
+    otherwise the step builds them with _windows.  The step plan (_plan) is
+    built once per windows built, so a run whose neighbourhood structure
+    has settled while its opinions still creep sorts and searches nothing.
+    Whether they hold is checked against the new profile by _windows_slack,
+    which also returns their slack.  moved adds up each step's max move
+    (the quiet test's) plus 1e-15, more than the rounding of that max and
+    of the sum, so it bounds how far any opinion has moved since the
+    check.  While 2 * moved + 1e-12 (the rounding of the margins) stays
+    below the slack, no test can have changed its outcome, and the step
+    keeps its windows without checking.  A check resets moved; a step
+    that builds windows, for a failed check or an injection, leaves the
+    next step to check them.  Kept windows are exactly _windows(x, eps),
+    so the trajectory is the same bit for bit as a loop of fresh
+    _step_arrays(x, eps, rule, w_own) calls.
 
     intervene(t, x, eps, windows), when given, is called before each step
     with the current profile, epsilons and sorted windows, which the step's
@@ -383,11 +437,16 @@ def simulate(
     eps = pop.epsilons
     bound = _bounds(eps)
     windows = plan = None
+    slack, moved = -1.0, 0.0
     traj = [x]
     t_eqm = None
     for t in range(cfg.max_steps):
-        if windows is None or not _windows_hold(x, windows, bound):
-            windows, plan = _windows(x, eps), None
+        if not 2.0 * moved + 1e-12 < slack:
+            # step 0 has no windows to check
+            slack = -1.0 if plan is None else _windows_slack(x, plan)
+            moved = 0.0
+            if slack < 0.0:
+                windows, plan = _windows(x, eps), None
         added = intervene(t, x, eps, windows) if intervene else None
         if added is not None:
             roster = roster.extended(*added)
@@ -395,14 +454,16 @@ def simulate(
             eps = roster.epsilons
             bound = _bounds(eps)
             traj[-1] = x
-            windows, plan = _windows(x, eps), None
+            windows, plan, slack = _windows(x, eps), None, -1.0
         if plan is None:
-            plan = _plan(windows)
+            plan = _plan(windows, bound)
         x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own, plan)
         traj.append(x1)
-        if added is None and float(np.max(np.abs(x1 - x))) <= cfg.delta:
+        move = float(np.abs(x1 - x).max())
+        if added is None and move <= cfg.delta:
             t_eqm = t
             break
+        moved += move + 1e-15
         x = x1
     return SimulationResult(
         trajectory=traj,

@@ -28,11 +28,10 @@ import numpy as np
 
 from .core import (
     MODERATE_EPSILON,
+    MODERATE_MAX,
     DynamicsConfig,
-    Mindedness,
     Population,
     SimulationResult,
-    classify_all,
     csv_text,
     require_finite,
     require_int,
@@ -98,7 +97,9 @@ def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     spectrum in original indices.  Among twins (equal opinion and
     epsilon, so equal pulls) a pair names the last in roster order."""
     x, eps, order = g.opinions, g.epsilons, g.order
-    open_ = classify_all(eps) == Mindedness.OPEN
+    # classify_all's open band without its checks: a graph's epsilons were
+    # validated when it was built
+    open_ = eps > MODERATE_MAX
     a, b = order[:-1], order[1:]
     # pulls only for the rows that can qualify: open agents whose sorted
     # successor is open and not a twin (equal opinion and epsilon give

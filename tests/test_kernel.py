@@ -28,7 +28,17 @@ from echosim import (
     simulate,
 )
 from echosim import core
-from echosim.core import _BLOCK, _bounds, _step_arrays, _window_sums, _windows, _windows_hold
+from echosim.core import (
+    _BLOCK,
+    _LEAF,
+    _block_mask,
+    _bounds,
+    _plan,
+    _step_arrays,
+    _window_sums,
+    _windows,
+    _windows_slack,
+)
 from echosim.graph import build_graph_arrays
 
 EPS_CHOICES = [0.0, 0.01, 0.05, 0.13, 0.17, 0.2, 0.22, 0.45, 1.0]
@@ -95,12 +105,17 @@ def test_windows_match_dense_predicate():
             assert np.array_equal(np.sort(order[lo[i] : hi[i]]), np.flatnonzero(mask[i]))
 
 
+def slack_of(old, new, eps) -> float:
+    """_windows_slack of old's windows on the profile new."""
+    old, new, eps = np.asarray(old), np.asarray(new), np.asarray(eps)
+    return _windows_slack(new, _plan(_windows(old, eps), _bounds(eps)))
+
+
 def held(old, new, eps) -> bool:
-    """_windows_hold of old's windows on the profile new, checked to be
-    exactly whether they equal new's fresh windows."""
-    kept, fresh = _windows(old, eps), _windows(new, eps)
-    got = _windows_hold(new, kept, _bounds(eps))
-    assert got == all(np.array_equal(a, b) for a, b in zip(kept, fresh))
+    """Whether _windows_slack finds old's windows holding on the profile
+    new, checked to be exactly whether they equal new's fresh windows."""
+    got = slack_of(old, new, eps) >= 0.0
+    assert got == all(np.array_equal(a, b) for a, b in zip(_windows(old, eps), _windows(new, eps)))
     return got
 
 
@@ -146,6 +161,11 @@ def test_windows_hold_on_edited_profiles():
         # one value moved 1 ulp out of a window, then 1 ulp within it
         ([0.0, 0.25, 0.75], [0.0, up, 0.75], [0.25] * 3, False),
         ([0.0, 0.25, 0.75], [0.0, down, 0.75], [0.25] * 3, True),
+        # the same for a neighbour with a small epsilon, which sees no change
+        # itself: only the edge test, landing exactly on its bound, tells
+        ([0.0, 0.25, 0.75], [0.0, up, 0.75], [0.25, 0.01, 0.25], False),
+        # a value that moves onto the lower bound exactly joins the window
+        ([0.25 - 2.0**-54, 0.5], [0.25, 0.5], [0.01, 0.25], False),
         # twins with different epsilons: one twin's window changes
         ([0.3, 0.3, 0.5], [0.3, 0.3, 0.39], [0.2, 0.1, 0.05], False),
         ([0.3, 0.3, 0.5], [0.3, 0.3, 0.48], [0.2, 0.1, 0.05], True),
@@ -156,6 +176,99 @@ def test_windows_hold_on_edited_profiles():
     ]
     for old, new, eps, want in cases:
         assert held(np.array(old), np.array(new), np.array(eps)) is want, (old, new)
+
+
+def _window_top(x, eps):
+    """The largest float y with fl(y - x) <= eps: the last opinion inside a
+    window centred on x, one ulp from leaving it."""
+    y = x + eps
+    while y - x > eps:
+        y = np.nextafter(y, 0.0)
+    while np.nextafter(y, 1.0) - x <= eps:
+        y = np.nextafter(y, 1.0)
+    return y
+
+
+def test_windows_slack_of_twins_and_of_an_agent_at_an_edge():
+    # twins with different epsilons but one window keep the slack of the
+    # rest; twins with different windows can part, so the slack is 0.0
+    assert slack_of([0.3, 0.3, 0.5], [0.3, 0.3, 0.5], [0.15, 0.1, 0.05]) > 0.0
+    assert slack_of([0.3, 0.3, 0.5], [0.3, 0.3, 0.5], [0.25, 0.1, 0.05]) == 0.0
+    # one window, the higher index first and one subnormal above the other:
+    # not a tie, and a tie would reorder them, so their gap counts
+    tiny = np.nextafter(0.0, 1.0)
+    assert slack_of([tiny, 0.0], [tiny, 0.0], [0.1, 0.1]) == 0.0
+    # an agent one ulp inside, or one ulp outside, another's window edge
+    top = _window_top(0.11, 0.05)
+    for edge in (top, np.nextafter(top, 1.0)):
+        assert 0.0 <= slack_of([0.11, edge], [0.11, edge], [0.05, 0.01]) <= np.spacing(top)
+
+
+def audited_run(monkeypatch, pop, dyn, batches):
+    """simulate with injection batches {t: (opinions, epsilon)}, checked to
+    hand every step windows equal to a fresh _windows(x, eps) and to give
+    fresh_run's trajectory; returns the steps that skipped their check."""
+    want, want_t = fresh_run(pop, dyn, batches.get)
+    checks, seen = [], []
+    check = core._windows_slack
+    monkeypatch.setattr(core, "_windows_slack", lambda x, plan: checks.append(1) or check(x, plan))
+
+    def intervene(t, x, eps, windows):
+        seen.append(len(checks))
+        assert all(np.array_equal(a, b) for a, b in zip(windows, _windows(x, eps))), t
+        return batches.get(t)
+
+    got = simulate(pop, dyn, intervene)
+    assert got.t_eqm == want_t and len(got.trajectory) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, want))
+    # step t > 0 skipped its check when no check ran since step t - 1's
+    return [t for t in range(1, len(seen)) if seen[t] == seen[t - 1]]
+
+
+# the runs below that settle their clusters and skip checks
+SKIPPING = {(Rule.HK, 100), (Rule.HK, 200)}
+
+
+@pytest.mark.parametrize("rule", [Rule.HK, Rule.HK_MOD])
+@pytest.mark.parametrize("n", [100, 200, 4096])
+def test_skipped_checks_keep_fresh_windows(monkeypatch, rule, n):
+    fractions = {"close": 0.8, "open": 0.2} if n > 200 else {"close": 0.5, "open": 0.5}
+    pop = clipped_normal_mixture(MixtureSpec(n=n, fractions=fractions, rng_seed=0))
+    batches = {0: ([0.1, 0.1, 0.9], 0.2), 2: ([0.5], 0.3), 3: ([0.45, 0.55], 0.05), 6: ([0.3], 0.2)}
+    skipped = audited_run(monkeypatch, pop, DynamicsConfig(rule=rule, max_steps=60), batches)
+    # the windows built for an injection are checked on the next step
+    assert not set(skipped) & {t + 1 for t in batches}
+    if (rule, n) in SKIPPING:
+        assert skipped
+
+
+@pytest.mark.parametrize("rule", [Rule.HK, Rule.HK_MOD])
+def test_skipped_checks_with_twins_and_an_agent_at_an_edge(monkeypatch, rule):
+    # a contracting cluster with twins of different epsilons (one twin's
+    # window holds only the twins), and a lone agent one ulp inside or
+    # outside the window edge of the cluster's top agent
+    top = _window_top(0.11, 0.05)
+    skipped = []
+    for edge in (top, np.nextafter(top, 1.0)):
+        pop = Population.from_arrays(
+            [0.09, 0.1, 0.1, 0.11, edge, 0.8, 0.81], [0.05, 0.05, 0.005, 0.05, 0.01, 0.05, 0.05]
+        )
+        skipped += audited_run(monkeypatch, pop, DynamicsConfig(rule=rule, w_own=0.9, max_steps=80), {})
+    assert skipped
+
+
+def test_contracting_clusters_skip_checks(monkeypatch):
+    # a slowly contracting cluster moves far less per step than its gaps
+    # and edge margins, so most steps keep their windows unchecked
+    pop = Population.from_arrays([0.08, 0.09, 0.1, 0.11, 0.12, 0.8, 0.81], [0.05] * 7)
+    dyn = DynamicsConfig(rule=Rule.HK_MOD, w_own=0.99)
+    assert {2, 3, 4, 5, 6} <= set(audited_run(monkeypatch, pop, dyn, {}))
+    # an agent injected on a skipped step, one ulp inside the window of the
+    # top agent, which then leaves it: the injection's slack is unknown, so
+    # the next step checks (and rebuilds)
+    top = _window_top(simulate(pop, dyn).trajectory[5][4], 0.05)
+    skipped = audited_run(monkeypatch, pop, dyn, {5: ([top], 0.0)})
+    assert 5 in skipped and 6 not in skipped
 
 
 def fresh_run(pop, dyn, inject):
@@ -291,6 +404,27 @@ def test_window_sums_match_pairwise_oracle_across_block_bound(m, count, kind):
         lo[1], hi[1] = 0, m  # whole
     p = np.arange(m)
     want = [oracles.pairwise_sum(np.where((a <= p) & (p < b), s, 0.0)) for a, b in zip(lo, hi)]
+    assert _bits(_window_sums(s, lo, hi)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "m, count",
+    [(_LEAF, _BLOCK // _LEAF + 1), (256, _BLOCK // 256), (500, _BLOCK // 500)],
+    ids=["leaf_above_block", "block_edge", "below_block_edge"],
+)
+def test_block_sum_keeps_signed_zeros(m, count):
+    # the block rule's in-place block: +0.0 outside each window, the row's
+    # own cells (here -0.0 and +0.0 mixed with values) inside it
+    rng = np.random.default_rng(m)
+    s = np.where(rng.random(m) < 0.5, -0.0, rng.random(m))
+    s[: m // 4] = -0.0
+    lo = rng.integers(0, m + 1, count)
+    hi = lo + rng.integers(0, m + 1 - lo)
+    lo[:3], hi[:3] = [0, 0, 0], [0, m // 4, m]  # empty, only -0.0, whole row
+    mask = _block_mask(m, lo, hi)
+    assert mask is not None
+    want = [oracles.pairwise_sum(np.where(row, s, 0.0)) for row in mask]
+    assert _bits(_window_sums(s, lo, hi, mask)) == _bits(want)
     assert _bits(_window_sums(s, lo, hi)) == _bits(want)
 
 
