@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,22 +156,41 @@ def _settle(s: np.ndarray, count: np.ndarray, holds) -> np.ndarray:
         count = np.where(fwd, np.searchsorted(s, padded[count + 1], "right"), count)
 
 
-def _bounds(eps: np.ndarray) -> np.ndarray:
-    """The window edges' bounds for _settle's test fl(s - x_i) < bound:
-    -eps_i for the agents below agent i's window, then the next float
-    above eps_i for the agents up to its end."""
-    return np.concatenate([-eps, np.nextafter(eps, np.inf)])
-
-
 # the least gap above a tie: two opinions are in stable order when their
 # gap is at least 0.0 with the lower index first, and at least this (so
 # not tied) with it second
 _TIE = np.nextafter(0.0, 1.0)
 
 
-def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one neighbourhood representation: the stable opinion sort order
-    and, per agent, the window [lo, hi) of sorted positions it listens to.
+class _Windows(NamedTuple):
+    """A profile's sorted windows and their step plan.  order is the stable
+    opinion sort order; agent i listens to sorted positions [lo[i], hi[i]).
+    The plan: each agent's window size; the runs of equal windows in the
+    sort order (such as a merged cluster that shares one epsilon) as their
+    bounds, each sorted position's run index and the runs' block mask
+    (_block_mask); then _windows_slack's pieces, in the sort order: the
+    window edges it tests, [[lo, hi], [lo + 1, hi + 1]], their bounds,
+    each adjacent pair's tie threshold, and which adjacent pairs share a
+    window with the lower index first."""
+
+    order: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    sizes: np.ndarray
+    lo_r: np.ndarray
+    hi_r: np.ndarray
+    run: np.ndarray
+    mask: np.ndarray | None
+    edges: np.ndarray
+    bounds: np.ndarray
+    ties: np.ndarray
+    same: np.ndarray
+
+
+def _windows(x: np.ndarray, eps: np.ndarray) -> _Windows:
+    """The one neighbourhood representation: the record of x's sorted
+    windows and their step plan (_Windows), a pure function of the opinions
+    and epsilons, so a run keeps it while its windows hold.
 
     The bounds hold the exact predicate |x_j - x_i| <= eps_i.  fl(s - x_i)
     is monotone in the sorted opinion s, so the agents below the window
@@ -183,16 +203,27 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     s = x[order]
     n = len(x)
     x2 = np.concatenate([x, x])
-    bound = _bounds(eps)
+    bound = np.concatenate([-eps, np.nextafter(eps, np.inf)])
     count = _settle(s, np.searchsorted(s, x2 + bound), lambda sp: sp - x2 < bound)
-    return order, count[:n], count[n:]
+    lo, hi = count[:n], count[n:]
+    lo_s, hi_s = lo[order], hi[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    lo_r, hi_r = lo_s[first], hi_s[first]
+    up = order[:-1] < order[1:]
+    return _Windows(
+        order, lo, hi,
+        hi - lo, lo_r, hi_r, np.cumsum(first) - 1, _block_mask(n, lo_r, hi_r),
+        np.array([[lo_s, hi_s], [lo_s + 1, hi_s + 1]]), bound.reshape(2, -1).take(order, axis=1),
+        np.where(up, 0.0, _TIE), up & ~first[1:],
+    )
 
 
-def _windows_slack(x: np.ndarray, plan) -> float:
-    """-1.0 when the windows of plan (_plan), built for an earlier profile,
-    are not _windows(x, eps); otherwise their slack: the least margin of
-    the tests that make them so, which every opinion may move less than
-    half of before they could fail.
+def _windows_slack(x: np.ndarray, w: _Windows) -> float:
+    """-1.0 when the windows w, built for an earlier profile, are not
+    _windows(x, eps); otherwise their slack: the least margin of the tests
+    that make them so, which every opinion may move less than half of
+    before they could fail.
 
     The tests run in the sort order, each with a margin.  The order still
     sorts x stably when each adjacent gap is at least its tie threshold:
@@ -208,19 +239,18 @@ def _windows_slack(x: np.ndarray, plan) -> float:
     the only one.  Moving two opinions by at most m each moves a gap or
     a difference padded[c] - x_i by at most 2m, so every test keeps its
     outcome while 2m, padded for rounding, stays below the slack."""
-    order, edges, bounds, ties, same = plan[0], *plan[6:]
-    s = x[order]
+    s = x[w.order]
     gap = s[1:] - s[:-1]
-    gap -= ties
-    gap[same & (gap == 0.0)] = np.inf
+    gap -= w.ties
+    gap[w.same & (gap == 0.0)] = np.inf
     least = gap.min(initial=np.inf)
     if least < 0.0:
         return -1.0
     padded = np.concatenate([[-np.inf], s, [np.inf]])
-    margin = padded.take(edges)
+    margin = padded.take(w.edges)
     margin -= s
-    np.subtract(bounds, margin[0], out=margin[0])
-    margin[1] -= bounds
+    np.subtract(w.bounds, margin[0], out=margin[0])
+    margin[1] -= w.bounds
     inside, outside = margin[0].min(), margin[1].min()
     if inside <= 0.0 or outside < 0.0:
         return -1.0
@@ -266,7 +296,7 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np
     level, so the cost is O(n log n).  An empty window sums to 0.0.  A
     window's sum does not depend on which other windows are asked for,
     so a caller may ask for each run once.  mask, when given, is
-    _block_mask(len(s), lo, hi), built once for these windows (_plan)."""
+    _block_mask(len(s), lo, hi), built once for these windows (_Windows)."""
     m = len(s)
     if mask is None:
         mask = _block_mask(m, lo, hi)
@@ -287,46 +317,15 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np
     return out
 
 
-def _plan(windows, bound: np.ndarray) -> tuple:
-    """The step plan of the windows (order, lo, hi) whose epsilons have the
-    bounds bound (_bounds): the order, each agent's window size, the runs
-    of equal windows in the sort order (neighbours with the same window,
-    such as a merged cluster that shares one epsilon) as their bounds, each
-    sorted position's run index and the runs' block mask where the block
-    rule applies (_block_mask); then _windows_slack's pieces, all in the
-    sort order: the window edges it tests, [[lo, hi], [lo + 1, hi + 1]],
-    their bounds, each adjacent pair's tie threshold, and which adjacent
-    pairs share a window with the lower index first.  A pure function of
-    the windows and the epsilons, so a run keeps it while its windows hold."""
-    order, lo, hi = windows
-    lo_s, hi_s = lo[order], hi[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
-    lo_r, hi_r = lo_s[first], hi_s[first]
-    up = order[:-1] < order[1:]
-    return (
-        order,
-        hi - lo,
-        lo_r,
-        hi_r,
-        np.cumsum(first) - 1,
-        _block_mask(len(order), lo_r, hi_r),
-        np.array([[lo_s, hi_s], [lo_s + 1, hi_s + 1]]),
-        bound.reshape(2, -1).take(order, axis=1),
-        np.where(up, 0.0, _TIE),
-        up & ~first[1:],
-    )
-
-
 def _step_arrays(
     x: np.ndarray,
     eps: np.ndarray,
     rule: Rule = Rule.HK,
     w_own=W_OWN,
-    plan=None,
+    w: _Windows | None = None,
 ) -> np.ndarray:
-    """One synchronous update on raw arrays, from the step plan
-    _plan(_windows(x, eps), _bounds(eps)), built here unless passed in.
+    """One synchronous update on raw arrays, from the windows and step
+    plan w of (x, eps), built here by _windows(x, eps) unless passed in.
 
     The neighbourhood sums depend only on the sorted opinions, so a
     permuted population takes the permuted step bit for bit.  HK_MOD
@@ -334,21 +333,22 @@ def _step_arrays(
     1/|N_i| recovers the plain rule); DynamicsConfig restricts the
     configured value to (0.5, 1] so that own opinion outweighs the rest.
     """
-    order, sizes, lo_r, hi_r, run, mask = (_plan(_windows(x, eps), _bounds(eps)) if plan is None else plan)[:6]
+    if w is None:
+        w = _windows(x, eps)
     # a run of equal windows takes its sum once
     sums = np.empty(len(x))
-    sums[order] = _window_sums(x[order], lo_r, hi_r, mask)[run]
+    sums[w.order] = _window_sums(x[w.order], w.lo_r, w.hi_r, w.mask)[w.run]
     if rule is Rule.HK:
-        out = sums / sizes
+        out = sums / w.sizes
     elif rule is Rule.HK_MOD:
-        w = np.asarray(w_own, dtype=float)
-        if np.any(w <= 0.0) or np.any(w > 1.0):
+        own = np.asarray(w_own, dtype=float)
+        if np.any(own <= 0.0) or np.any(own > 1.0):
             raise ValueError("w_own must lie in (0, 1]")
-        others = sizes - 1
+        others = w.sizes - 1
         other_sums = sums - x
         # an agent alone in its interval keeps its opinion unchanged
         mean_others = np.where(others > 0, other_sums / np.maximum(others, 1), x)
-        out = w * x + (1.0 - w) * mean_others
+        out = own * x + (1.0 - own) * mean_others
     else:
         raise ValueError(f"unknown rule {rule!r}")
     return np.clip(out, 0.0, 1.0)
@@ -408,12 +408,12 @@ def simulate(
 ) -> SimulationResult:
     """Run the configured rule until quiet (max move <= delta) or max_steps.
 
-    Each step's sorted windows are the last step's while they still hold;
-    otherwise the step builds them with _windows.  The step plan (_plan) is
-    built once per windows built, so a run whose neighbourhood structure
-    has settled while its opinions still creep sorts and searches nothing.
-    Whether they hold is checked against the new profile by _windows_slack,
-    which also returns their slack.  moved adds up each step's max move
+    Each step's windows record (_Windows: the sorted windows and their step
+    plan) is the last step's while its windows still hold; otherwise the
+    step builds a new one with _windows.  So a run whose neighbourhood
+    structure has settled while its opinions still creep sorts, searches
+    and plans nothing.  Whether they hold is checked against the new
+    profile by _windows_slack, which also returns their slack.  moved adds up each step's max move
     (the quiet test's) plus 1e-15, more than the rounding of that max and
     of the sum, so it bounds how far any opinion has moved since the
     check.  While 2 * moved + 1e-12 (the rounding of the margins) stays
@@ -425,39 +425,36 @@ def simulate(
     _step_arrays(x, eps, rule, w_own) calls.
 
     intervene(t, x, eps, windows), when given, is called before each step
-    with the current profile, epsilons and sorted windows, which the step's
-    update then reuses.  It returns None, or the opinions and epsilons of
-    agents to inject: they are appended to the roster and to the profile at
-    t (rebuilding the windows), take part in step t, and keep the run from
-    counting step t as quiet.
+    with the current profile, epsilons and windows record (order, lo and hi
+    name the sorted windows), which the step's update then reuses.  It
+    returns None, or the opinions and epsilons of agents to inject: they
+    are appended to the roster and to the profile at t (rebuilding the
+    record), take part in step t, and keep the run from counting step t
+    as quiet.
     """
     cfg = cfg or DynamicsConfig()
     roster = pop
     x = pop.opinions.copy()
     eps = pop.epsilons
-    bound = _bounds(eps)
-    windows = plan = None
+    windows = None
     slack, moved = -1.0, 0.0
     traj = [x]
     t_eqm = None
     for t in range(cfg.max_steps):
         if not 2.0 * moved + 1e-12 < slack:
             # step 0 has no windows to check
-            slack = -1.0 if plan is None else _windows_slack(x, plan)
+            slack = -1.0 if windows is None else _windows_slack(x, windows)
             moved = 0.0
             if slack < 0.0:
-                windows, plan = _windows(x, eps), None
+                windows = _windows(x, eps)
         added = intervene(t, x, eps, windows) if intervene else None
         if added is not None:
             roster = roster.extended(*added)
             x = np.concatenate([x, roster.opinions[len(x):]])
             eps = roster.epsilons
-            bound = _bounds(eps)
             traj[-1] = x
-            windows, plan, slack = _windows(x, eps), None, -1.0
-        if plan is None:
-            plan = _plan(windows, bound)
-        x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own, plan)
+            windows, slack = _windows(x, eps), -1.0
+        x1 = _step_arrays(x, eps, cfg.rule, cfg.w_own, windows)
         traj.append(x1)
         move = float(np.abs(x1 - x).max())
         if added is None and move <= cfg.delta:

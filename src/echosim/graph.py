@@ -10,11 +10,11 @@ arguments and the placement scan.
 
 Sorted by opinion, every agent's out-neighbours form one contiguous
 window of the sort order, so a graph is held as that order plus two
-window bounds per agent (core._windows; in a run, simulate hands each
-step's windows to both the update and the placement scan's graph, and
-keeps the last step's while they still hold): no edge list and no n x n
-mask.  Building is O(n log n), degrees and
-pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
+window bounds per agent, the order, lo and hi of core._windows's record
+(in a run, simulate hands each step's record to both the update and the
+placement scan's graph, and keeps the last step's while its windows
+still hold): no edge list and no n x n mask.  Building is O(n log n),
+degrees and pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
 O(n log n) at worst; export is linear in the edge count.  Pulls come
 from the update step's window sums (core._window_sums), so every pull
 is one fixed function of the sorted opinions, the placement scan's
@@ -76,7 +76,8 @@ def build_graph_arrays(x, eps, t: int = 0) -> InfluenceGraph:
         raise ValueError("opinions and epsilons must be 1-d and of equal length")
     if not (np.isfinite(x).all() and np.isfinite(eps).all() and (eps >= 0.0).all()):
         raise ValueError("opinions must be finite and epsilons finite and nonnegative")
-    return InfluenceGraph(x, eps, *_windows(x, eps), t)
+    w = _windows(x, eps)
+    return InfluenceGraph(x, eps, w.order, w.lo, w.hi, t)
 
 
 def out_degrees(g: InfluenceGraph) -> np.ndarray:

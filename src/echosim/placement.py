@@ -199,7 +199,7 @@ def run_with_placement(
         if budget == 0:
             return None
         batches = []
-        for ev in offers(InfluenceGraph(x, eps, *windows, t)):
+        for ev in offers(InfluenceGraph(x, eps, windows.order, windows.lo, windows.hi, t)):
             if budget < ev.count:
                 break
             batches.append(ev)

@@ -22,7 +22,9 @@ from echosim import (
     Population,
     Rule,
     clipped_normal_mixture,
+    compute_injection,
     evenly_spaced,
+    find_converging_pairs,
     pulls_all,
     run_with_placement,
     simulate,
@@ -32,8 +34,6 @@ from echosim.core import (
     _BLOCK,
     _LEAF,
     _block_mask,
-    _bounds,
-    _plan,
     _step_arrays,
     _window_sums,
     _windows,
@@ -100,7 +100,7 @@ def instances(seed, count=60, n_max=700):
 def test_windows_match_dense_predicate():
     for x, eps in instances(0):
         mask = np.abs(x[None, :] - x[:, None]) <= eps[:, None]
-        order, lo, hi = _windows(x, eps)
+        order, lo, hi = _windows(x, eps)[:3]
         for i in range(len(x)):
             assert np.array_equal(np.sort(order[lo[i] : hi[i]]), np.flatnonzero(mask[i]))
 
@@ -108,7 +108,7 @@ def test_windows_match_dense_predicate():
 def slack_of(old, new, eps) -> float:
     """_windows_slack of old's windows on the profile new."""
     old, new, eps = np.asarray(old), np.asarray(new), np.asarray(eps)
-    return _windows_slack(new, _plan(_windows(old, eps), _bounds(eps)))
+    return _windows_slack(new, _windows(old, eps))
 
 
 def held(old, new, eps) -> bool:
@@ -208,10 +208,10 @@ def audited_run(monkeypatch, pop, dyn, batches):
     """simulate with injection batches {t: (opinions, epsilon)}, checked to
     hand every step windows equal to a fresh _windows(x, eps) and to give
     fresh_run's trajectory; returns the steps that skipped their check."""
-    want, want_t = fresh_run(pop, dyn, batches.get)
+    want, want_t = fresh_run(pop, dyn, lambda t, x, eps: batches.get(t))
     checks, seen = [], []
     check = core._windows_slack
-    monkeypatch.setattr(core, "_windows_slack", lambda x, plan: checks.append(1) or check(x, plan))
+    monkeypatch.setattr(core, "_windows_slack", lambda x, w: checks.append(1) or check(x, w))
 
     def intervene(t, x, eps, windows):
         seen.append(len(checks))
@@ -273,11 +273,12 @@ def test_contracting_clusters_skip_checks(monkeypatch):
 
 def fresh_run(pop, dyn, inject):
     """simulate's loop with a fresh _step_arrays(x, eps, rule, w_own) call,
-    windows and plan included, every step: (trajectory, t_eqm)."""
+    windows and plan included, every step, and inject(t, x, eps) in place
+    of intervene: (trajectory, t_eqm)."""
     roster, x = pop, pop.opinions.copy()
     trajectory = [x]
     for t in range(dyn.max_steps):
-        added = inject(t)
+        added = inject(t, x, roster.epsilons)
         if added is not None:
             roster = roster.extended(*added)
             x = np.concatenate([x, roster.opinions[len(x) :]])
@@ -301,7 +302,7 @@ def test_simulate_is_a_loop_of_fresh_steps(monkeypatch, rule, n, inject):
     pop = clipped_normal_mixture(MixtureSpec(n=n, fractions=fractions, rng_seed=0))
     dyn = DynamicsConfig(rule=rule, max_steps=40)
     batches = {0: ([0.1, 0.1, 0.9], 0.2), 2: ([0.5], 0.3), 3: ([0.45, 0.55], 0.05)} if inject else {}
-    want, want_t = fresh_run(pop, dyn, batches.get)
+    want, want_t = fresh_run(pop, dyn, lambda t, x, eps: batches.get(t))
     builds = []
     monkeypatch.setattr(core, "_windows", lambda x, eps: builds.append(len(x)) or _windows(x, eps))
     got = simulate(pop, dyn, lambda t, x, eps, windows: batches.get(t))
@@ -317,11 +318,44 @@ def test_injection_on_a_step_that_keeps_its_windows(monkeypatch):
     pop = Population.from_arrays([0.1, 0.11, 0.12, 0.8, 0.81], [0.05] * 5)
     dyn = DynamicsConfig(rule=Rule.HK_MOD, w_own=0.9)
     batches = {5: ([0.5, 0.115], 0.05)}
-    want, want_t = fresh_run(pop, dyn, batches.get)
+    want, want_t = fresh_run(pop, dyn, lambda t, x, eps: batches.get(t))
     builds = []
     monkeypatch.setattr(core, "_windows", lambda x, eps: builds.append(len(x)) or _windows(x, eps))
     got = simulate(pop, dyn, lambda t, x, eps, windows: batches.get(t))
     assert builds == [5, 7]
+    assert got.t_eqm == want_t and len(got.trajectory) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, want))
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_placement_run_is_a_loop_of_fresh_graphs_and_steps(seed):
+    # n = 4096 sums through the window-sum recursion.  Of rng_seed 0, 1 and
+    # 2 on this mixture, 0 spends budget at t = 1 and 2 at t = 0; 1 spends
+    # none, so it would compare plain runs only
+    pop = clipped_normal_mixture(MixtureSpec(n=4096, fractions={"close": 0.5, "open": 0.5}, rng_seed=seed))
+    dyn, place = DynamicsConfig(), PlacementConfig(budget=4096)
+    want_events, budget = [], place.budget
+
+    def inject(t, x, eps):
+        # run_with_placement's budget loop on a fresh graph of (x, eps)
+        nonlocal budget
+        g = build_graph_arrays(x, eps, t)
+        batches = []
+        for ev in (ev for pair in find_converging_pairs(g) for ev in compute_injection(g, pair)):
+            if budget < ev.count:
+                break
+            batches.append(ev)
+            budget -= ev.count
+        want_events.extend(batches)
+        if batches:
+            return np.repeat([ev.opinion for ev in batches], [ev.count for ev in batches]), place.epsilon_new
+
+    want, want_t = fresh_run(pop, dyn, inject)
+    got, events = run_with_placement(pop, dyn, place)
+    # the roster's ids are its indices, so the log's anchor ids are the
+    # graph indices the reference logs
+    assert got.agents.ids.tolist() == list(range(got.agents.n))
+    assert events and events == want_events
     assert got.t_eqm == want_t and len(got.trajectory) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got.trajectory, want))
 
