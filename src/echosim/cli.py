@@ -113,13 +113,28 @@ def _section(name: str, cfg, cls):
     return cls(**cfg)
 
 
+def _unique_keys(pairs) -> dict:
+    """json object_pairs_hook: a key given twice in one object is a config
+    error, where plain json.loads would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _loads(text: str):
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = _loads(raw)
         except json.JSONDecodeError:
             value = raw
         node = cfg
@@ -216,7 +231,7 @@ def dispatch(args) -> int:
         print(f"echosim: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = json.loads(text)
+        cfg = _loads(text)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
         cfg = _apply_overrides(cfg, args)

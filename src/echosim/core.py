@@ -141,19 +141,19 @@ class Population:
         )
 
 
-def _settle(s: np.ndarray, count: np.ndarray, holds) -> np.ndarray:
-    """Move each guess count to the length of the prefix of sorted opinions
-    s on which holds(s_p) is true (holds is monotone: true, then false, and
-    true at -inf).  holds depends on the value only, so a whole run of tied
-    opinions holds or fails together and each move jumps a whole run."""
+def _settle(s: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Move each guess c[r, k] to the length of the prefix of sorted
+    opinions s on which fl(s_p - s[k]) < b[r, k]: a test monotone in s_p
+    (true, then false, and true at -inf) and of the value only, so a whole
+    run of tied opinions holds or fails together and each move jumps it."""
     padded = np.concatenate([[-np.inf], s, [np.inf]])  # padded[c] = s[c - 1]
     while True:
-        back = ~holds(padded[count])
-        fwd = holds(padded[count + 1])
+        back = ~(padded[c] - s < b)
+        fwd = padded[c + 1] - s < b
         if not (back | fwd).any():
-            return count
-        count = np.where(back, np.searchsorted(s, padded[count], "left"), count)
-        count = np.where(fwd, np.searchsorted(s, padded[count + 1], "right"), count)
+            return c
+        c = np.where(back, np.searchsorted(s, padded[c], "left"), c)
+        c = np.where(fwd, np.searchsorted(s, padded[c + 1], "right"), c)
 
 
 # the least gap above a tie: two opinions are in stable order when their
@@ -169,9 +169,9 @@ class _Windows(NamedTuple):
     sort order (such as a merged cluster that shares one epsilon) as their
     bounds, each sorted position's run index and the runs' block mask
     (_block_mask); then _windows_slack's pieces, in the sort order: the
-    window edges it tests, [[lo, hi], [lo + 1, hi + 1]], their bounds,
-    each adjacent pair's tie threshold, and which adjacent pairs share a
-    window with the lower index first."""
+    window edges it tests, [c, c + 1] for _settle's edges c, the bounds c
+    was settled on, each adjacent pair's tie threshold, and which adjacent
+    pairs share a window with the lower index first."""
 
     order: np.ndarray
     lo: np.ndarray
@@ -195,27 +195,26 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> _Windows:
     The bounds hold the exact predicate |x_j - x_i| <= eps_i.  fl(s - x_i)
     is monotone in the sorted opinion s, so the agents below the window
     (s - x_i < -eps_i) and those up to its end (s - x_i <= eps_i, that is
-    < the next float above eps_i) are prefixes of the sort order.
-    searchsorted guesses both prefix lengths at once and _settle corrects
-    the guesses on the predicate itself, so ties and rounding fall where
-    the dense predicate puts them."""
+    < the next float above eps_i) are prefixes of the sort order.  In that
+    order, searchsorted guesses both prefix lengths of every agent and
+    _settle corrects them on the predicate itself, so ties and rounding
+    fall where the dense predicate puts them; one scatter gives lo, hi."""
     order = np.argsort(x, kind="stable")
     s = x[order]
-    n = len(x)
-    x2 = np.concatenate([x, x])
-    bound = np.concatenate([-eps, np.nextafter(eps, np.inf)])
-    count = _settle(s, np.searchsorted(s, x2 + bound), lambda sp: sp - x2 < bound)
-    lo, hi = count[:n], count[n:]
-    lo_s, hi_s = lo[order], hi[order]
-    first = np.ones(n, dtype=bool)
+    e = eps[order]
+    b = np.array([-e, np.nextafter(e, np.inf)])
+    c = _settle(s, np.searchsorted(s, s + b), b)
+    lo_s, hi_s = c
+    lo, hi = np.empty_like(c)
+    lo[order], hi[order] = c
+    first = np.ones(len(s), dtype=bool)
     first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
     lo_r, hi_r = lo_s[first], hi_s[first]
     up = order[:-1] < order[1:]
     return _Windows(
         order, lo, hi,
-        hi - lo, lo_r, hi_r, np.cumsum(first) - 1, _block_mask(n, lo_r, hi_r),
-        np.array([[lo_s, hi_s], [lo_s + 1, hi_s + 1]]), bound.reshape(2, -1).take(order, axis=1),
-        np.where(up, 0.0, _TIE), up & ~first[1:],
+        hi - lo, lo_r, hi_r, np.cumsum(first) - 1, _block_mask(len(s), lo_r, hi_r),
+        np.array([c, c + 1]), b, np.where(up, 0.0, _TIE), up & ~first[1:],
     )
 
 
@@ -351,7 +350,7 @@ def _step_arrays(
         out = own * x + (1.0 - own) * mean_others
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    return np.clip(out, 0.0, 1.0)
+    return out.clip(0.0, 1.0)
 
 
 @dataclass

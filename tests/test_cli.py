@@ -632,6 +632,28 @@ class TestExitCodes:
         assert "largest id 9223372036854775807" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("simulate", '{"population": {"kind": "evenly_spaced", "n": 3, "epsilon": 0.5}, '
+             '"dynamics": {"max_steps": 5}, "dynamics": {"max_steps": 9}}', "dynamics"),
+            ("gen", '{"population": {"kind": "evenly_spaced", "n": 3, "epsilon": 0.3, "epsilon": 0.05}}', "epsilon"),
+        ],
+    )
+    def test_duplicate_config_key_rejected(self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"echosim: invalid config: duplicate key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_in_set_value_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MIX)
+        override = 'population.fractions={"close": 0.5, "open": 0.5, "close": 0.2}'
+        assert run_cli(["gen", "--config", path, "--set", override, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "echosim: invalid config: duplicate key 'close'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_path_through_file(self, tmp_path):
         cfg = write_cfg(tmp_path, SPACED3)
         blocker = tmp_path / "blocker"

@@ -171,6 +171,12 @@ class TestStepGoldens:
         pop = Population.from_arrays([0.0, 1.0], [0.1, 0.1])
         assert np.array_equal(one_step(pop, Rule.HK_MOD, 0.9), np.array([0.0, 1.0]))
 
+    def test_clip_keeps_a_negative_zero_opinion(self):
+        # -0.0 is a valid opinion that the trajectory CSV writes as -0.0;
+        # np.minimum(np.maximum(out, 0.0), 1.0) would turn it into +0.0
+        got = _step_arrays(np.array([-0.0, 0.5, 0.9]), np.full(3, 0.01), Rule.HK_MOD)
+        assert got[0] == 0.0 and np.signbit(got[0])
+
     def test_w_own_bounds(self):
         pop = ten_agent_pop()
         for bad in (0.0, 1.2):

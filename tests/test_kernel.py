@@ -105,6 +105,92 @@ def test_windows_match_dense_predicate():
             assert np.array_equal(np.sort(order[lo[i] : hi[i]]), np.flatnonzero(mask[i]))
 
 
+def dense_windows(x, eps, rows=256):
+    """order, lo and hi built without _windows: the stable order from
+    Python's stable sort, and each agent's window from the dense predicate
+    |x_j - x_i| <= eps_i of oracles.neighbors, a block of rows at a time so
+    that memory stays at rows x n.  Every window must be one contiguous
+    run of the sort order."""
+    n = len(x)
+    order = np.array(sorted(range(n), key=x.tolist().__getitem__), dtype=np.intp)
+    s = x[order]
+    lo, hi = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))
+        inside = np.abs(s[None, :] - x[i, None]) <= eps[i, None]
+        lo[i] = inside.argmax(axis=1)
+        hi[i] = n - inside[:, ::-1].argmax(axis=1)
+        assert np.array_equal(inside.sum(axis=1), hi[i] - lo[i])
+    return order, lo, hi
+
+
+def plan_of(x, eps, order, lo, hi):
+    """Every _Windows field derived from order, lo and hi by its definition,
+    with Python loops over the sort order."""
+    n = len(x)
+    lo_s, hi_s = lo[order].tolist(), hi[order].tolist()
+    lo_r, hi_r, run = [], [], []
+    for k in range(n):
+        if k == 0 or (lo_s[k], hi_s[k]) != (lo_s[k - 1], hi_s[k - 1]):
+            lo_r.append(lo_s[k])
+            hi_r.append(hi_s[k])
+        run.append(len(lo_r) - 1)
+    lo_r, hi_r = np.array(lo_r, dtype=np.intp), np.array(hi_r, dtype=np.intp)
+    mask = None
+    if n <= _LEAF or len(lo_r) * n <= _BLOCK:
+        mask = np.array([[a <= p < b for p in range(n)] for a, b in zip(lo_r.tolist(), hi_r.tolist())])
+    e = eps[order]
+    up = [order[k] < order[k + 1] for k in range(n - 1)]
+    return core._Windows(
+        order, lo, hi, hi - lo, lo_r, hi_r, np.array(run, dtype=np.intp), mask,
+        np.array([[lo_s, hi_s], [[v + 1 for v in lo_s], [v + 1 for v in hi_s]]], dtype=np.intp),
+        np.array([-e, np.nextafter(e, np.inf)]),
+        np.array([0.0 if u else np.nextafter(0.0, 1.0) for u in up]),
+        np.array([u and run[k + 1] == run[k] for k, u in enumerate(up)], dtype=bool),
+    )
+
+
+def large_profiles():
+    """n >= 4096 profiles: a late step of the 0.5/0.5 mixture, whose
+    merged clusters share windows; twins with different epsilons; agents
+    one ulp inside and outside a window's top edge in a random profile;
+    and 16 or 17 separate values, whose 16 runs just fit one block mask
+    (16 x 4096 cells is _BLOCK) and whose 17 runs do not."""
+    pop = clipped_normal_mixture(MixtureSpec(n=4096, fractions={"close": 0.5, "open": 0.5}, rng_seed=1))
+    yield simulate(pop, DynamicsConfig(max_steps=12)).trajectory[-1], pop.epsilons, False
+    rng = np.random.default_rng(11)
+    half = np.round(rng.random(2500) * 100) / 100
+    yield np.concatenate([half, half]), rng.choice([0.01, 0.05, 0.2], 5000), False
+    x, eps = rng.random(4099), rng.choice(EPS_CHOICES, 4099)
+    eps[:3] = [0.05, 0.0, 0.0]
+    x[1] = _window_top(x[0], eps[0])
+    x[2] = np.nextafter(x[1], 1.0)
+    yield x, eps, True
+    for values in (16, 17):
+        yield rng.choice(np.linspace(0.0, 1.0, values), 4096), np.full(4096, 0.01), False
+
+
+def test_large_windows_match_an_independent_construction():
+    masks = 0
+    for x, eps, watched in large_profiles():
+        want = plan_of(x, eps, *dense_windows(x, eps))
+        got = _windows(x, eps)
+        for name, a, b in zip(got._fields, got, want):
+            if b is None:
+                assert a is None, name
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        masks += want.mask is not None
+        if watched:
+            # agent 1 sits on agent 0's window edge and agent 2 one ulp past it
+            rows = [oracles.neighbors(x.tolist(), eps.tolist(), i) for i in range(3)]
+            assert 1 in rows[0] and 2 not in rows[0]
+            for i, row in enumerate(rows):
+                assert sorted(got.order[got.lo[i] : got.hi[i]].tolist()) == row
+    assert masks == 1
+
+
 def slack_of(old, new, eps) -> float:
     """_windows_slack of old's windows on the profile new."""
     old, new, eps = np.asarray(old), np.asarray(new), np.asarray(eps)
