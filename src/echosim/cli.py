@@ -14,9 +14,10 @@ errors.  Progress goes to stderr; --quiet silences it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .core import DynamicsConfig, require_int, simulate
@@ -75,12 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Keys each population kind reads; any other key is a config error.
-_POPULATION_KEYS = {
-    "evenly_spaced": {"kind", "n", "epsilon", "transform"},
-    "mixture": {f.name for f in fields(MixtureSpec)} | {"kind", "transform"},
-    "csv": {"kind", "path", "transform"},
-}
+def _csv_population(path):
+    return read_population_csv(Path(path).read_text())
+
+
+# Each population kind's builder; its parameters are the kind's keys.
+_POPULATIONS = {"evenly_spaced": evenly_spaced, "mixture": MixtureSpec, "csv": _csv_population}
 _TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
 # Top-level keys each subcommand reads (sweep configs: SWEEP_KEYS); a
 # population or placement section it reads must be present.
@@ -92,10 +93,14 @@ _COMMAND_KEYS = {
 }
 
 
-def _check_keys(section: str, cfg, allowed: set) -> None:
+def _object(section: str, cfg) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"{section} must be a JSON object, got {cfg!r}")
-    unknown = sorted(set(cfg) - allowed)
+    return cfg
+
+
+def _check_keys(section: str, cfg, allowed: set) -> None:
+    unknown = sorted(set(_object(section, cfg)) - allowed)
     if unknown:
         raise ValueError(f"unknown {section} keys {unknown}")
 
@@ -106,11 +111,14 @@ def _require(section: str, cfg: dict, keys) -> None:
         raise ValueError(f"{section} has no {missing[0]!r} key")
 
 
-def _section(name: str, cfg, cls):
-    """Build the dataclass cls from the config section of that name."""
-    _check_keys(name, cfg, {f.name for f in fields(cls)})
-    _require(name, cfg, [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING])
-    return cls(**cfg)
+def _section(name: str, cfg, build):
+    """Call build (a dataclass or a function) with the config section of
+    that name: its keys are build's parameters, and each parameter
+    without a default must be given."""
+    params = inspect.signature(build).parameters.values()
+    _check_keys(name, cfg, {p.name for p in params})
+    _require(name, cfg, [p.name for p in params if p.default is p.empty])
+    return build(**cfg)
 
 
 def _unique_keys(pairs) -> dict:
@@ -148,21 +156,14 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 
 def _population_from_config(cfg):
-    # a section that is not an object fails in _check_keys below
-    kind = cfg.get("kind", "mixture") if isinstance(cfg, dict) else "mixture"
-    if not isinstance(kind, str) or kind not in _POPULATION_KEYS:
-        raise ValueError(f"population kind must be one of {list(_POPULATION_KEYS)}, got {kind!r}")
-    _check_keys("population", cfg, _POPULATION_KEYS[kind])
-    if kind == "evenly_spaced":
-        _require("population", cfg, ("n", "epsilon"))
-        pop = evenly_spaced(cfg["n"], cfg["epsilon"])
-    elif kind == "mixture":
-        spec = {k: v for k, v in cfg.items() if k not in ("kind", "transform")}
-        pop = clipped_normal_mixture(_section("population", spec, MixtureSpec))
-    else:
-        _require("population", cfg, ("path",))
-        pop = read_population_csv(Path(cfg["path"]).read_text())
-    t = cfg.get("transform", {})
+    spec = dict(_object("population", cfg))
+    kind = spec.pop("kind", "mixture")
+    if not isinstance(kind, str) or kind not in _POPULATIONS:
+        raise ValueError(f"population kind must be one of {list(_POPULATIONS)}, got {kind!r}")
+    t = spec.pop("transform", {})
+    pop = _section("population", spec, _POPULATIONS[kind])
+    if kind == "mixture":
+        pop = clipped_normal_mixture(pop)
     _check_keys("transform", t, _TRANSFORM_KEYS)
     if t:
         _require("transform", t, ("from", "fraction"))
@@ -194,8 +195,6 @@ def _run_command(command: str, cfg: dict) -> dict:
             "sweep.csv": write_sweep_csv(records),
             "means.csv": write_means_csv(aggregate_means(records)),
         }
-    if command not in _COMMAND_KEYS:
-        raise ValueError(f"unknown command {command!r}")
     _check_keys(f"{command} config", cfg, _COMMAND_KEYS[command])
     missing = [key for key in ("population", "placement") if key in _COMMAND_KEYS[command] and key not in cfg]
     if missing:
@@ -225,21 +224,12 @@ def _run_command(command: str, cfg: dict) -> dict:
 
 
 def dispatch(args) -> int:
+    # all outputs are built before --out is made: a bad config writes nothing
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"echosim: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = _loads(text)
+        cfg = _loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-        cfg = _apply_overrides(cfg, args)
-        outputs = _run_command(args.command, cfg)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"echosim: invalid config: {exc}", file=sys.stderr)
-        return 1
-    try:
+        outputs = _run_command(args.command, _apply_overrides(cfg, args))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, payload in outputs.items():
@@ -248,8 +238,11 @@ def dispatch(args) -> int:
             if not args.quiet:
                 print(f"wrote {path}", file=sys.stderr)
     except OSError as exc:
-        print(f"echosim: cannot write output: {exc}", file=sys.stderr)
+        print(f"echosim: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"echosim: invalid config: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

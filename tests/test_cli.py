@@ -654,6 +654,37 @@ class TestExitCodes:
         assert "echosim: invalid config: duplicate key 'close'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["absent.csv", "a_directory"])
+    def test_unreadable_population_csv_is_io_error(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        pop_csv = tmp_path / name
+        path = write_cfg(tmp_path, {"population": {"kind": "csv", "path": str(pop_csv)}})
+        assert run_cli(["gen", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("echosim: ") and str(pop_csv) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["config", "population csv"])
+    def test_file_not_utf8_is_validation_error(self, tmp_path, capsys, bad):
+        pop_csv = tmp_path / "pop.csv"
+        pop_csv.write_bytes(b"agent_id,opinion,epsilon,mindedness,injected\n0,0.5,0.01,close,false\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"population": {"kind": "csv", "path": str(pop_csv)}}))
+        spoilt = path if bad == "config" else pop_csv
+        spoilt.write_bytes(spoilt.read_bytes() + b"\xff")
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "echosim: invalid config: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_nul_in_path_is_validation_error(self, tmp_path, capsys, flag):
+        paths = {"--config": write_cfg(tmp_path, SPACED3), "--out": str(tmp_path / "out")}
+        paths[flag] += "\0x"
+        argv = ["gen", "--config", paths["--config"], "--out", paths["--out"], "--quiet"]
+        assert run_cli(argv) == 1
+        assert "echosim: invalid config: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
     def test_output_path_through_file(self, tmp_path):
         cfg = write_cfg(tmp_path, SPACED3)
         blocker = tmp_path / "blocker"

@@ -646,3 +646,21 @@ def test_band_slowdown_against_exact_arithmetic():
         assert 0 <= result.t_eqm - t_exact <= 3, (eps, result.t_eqm, t_exact)
         assert result.c_eqm == oracles.count_clusters([float(v) for v in profile])
     assert [exact[e] for e in BAND] == [7, 9, 10, 9, 7, 7, 6, 10]
+
+
+def test_band_slowdown_runs_that_hinge_on_the_last_bit():
+    # The least window-edge margin over each committed band run's profiles:
+    # at epsilon 0.15 an agent sits exactly on a window's edge, and at 0.2
+    # one ulp of 0.2 from it, so those two runs' neighbour sets hinge on the
+    # last bit of one subtraction; the other six keep a margin of 2e-6 or more.
+    for eps in BAND:
+        pop = evenly_spaced(200, eps)
+        trajectory = simulate(pop, DynamicsConfig(delta=1e-18)).trajectory
+        slack = [_windows_slack(x, _windows(x, pop.epsilons)) for x in trajectory]
+        least, t = min(slack), int(np.argmin(slack))
+        if eps == 0.15:
+            assert (least, t) == (0.0, 2)
+        elif eps == 0.20:
+            assert (least, t) == (np.spacing(0.2), 2)
+        else:
+            assert 2.0e-6 <= least <= 7.2e-5, (eps, least)
