@@ -52,16 +52,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Each subcommand's help text and the top-level keys its config may hold (a sweep
+# config: its kind's SWEEP_KEYS); a population or placement key it may hold is required.
+_COMMANDS = {
+    "gen": ("generate a population CSV", {"population"}),
+    "simulate": ("run the dynamics, write trajectory and summary", {"population", "dynamics"}),
+    "place": (
+        "run with agent injection, write trajectory, summary and events",
+        {"population", "dynamics", "placement"},
+    ),
+    "sweep": ("run a parameter sweep, write records and means", None),
+    "graph": ("export an influence-graph snapshot", {"population", "dynamics", "step", "format"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="echosim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text in [
-        ("gen", "generate a population CSV"),
-        ("simulate", "run the dynamics, write trajectory and summary"),
-        ("place", "run with agent injection, write trajectory, summary and events"),
-        ("sweep", "run a parameter sweep, write records and means"),
-        ("graph", "export an influence-graph snapshot"),
-    ]:
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
@@ -76,21 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _path(name: str, text) -> Path:
+    # pathlib would only say "embedded null byte", naming no path
+    if "\0" in str(text):
+        raise ValueError(f"{name} {text!r} holds a NUL byte")
+    return Path(text)
+
+
 def _csv_population(path):
-    return read_population_csv(Path(path).read_text())
+    return read_population_csv(_path("population path", path).read_text())
 
 
 # Each population kind's builder; its parameters are the kind's keys.
 _POPULATIONS = {"evenly_spaced": evenly_spaced, "mixture": MixtureSpec, "csv": _csv_population}
 _TRANSFORM_KEYS = {"from", "fraction", "epsilon_new", "rng_seed"}
-# Top-level keys each subcommand reads (sweep configs: SWEEP_KEYS); a
-# population or placement section it reads must be present.
-_COMMAND_KEYS = {
-    "gen": {"population"},
-    "simulate": {"population", "dynamics"},
-    "place": {"population", "dynamics", "placement"},
-    "graph": {"population", "dynamics", "step", "format"},
-}
+# The config sections every subcommand builds alike, and their builders.
+_SECTIONS = {"base_mixture": MixtureSpec, "dynamics": DynamicsConfig, "placement": PlacementConfig}
 
 
 def _object(section: str, cfg) -> dict:
@@ -99,14 +108,12 @@ def _object(section: str, cfg) -> dict:
     return cfg
 
 
-def _check_keys(section: str, cfg, allowed: set) -> None:
-    unknown = sorted(set(_object(section, cfg)) - allowed)
+def _keys(section: str, cfg, allowed, required=()) -> None:
+    """A config section may hold only the allowed keys and must hold the required ones."""
+    unknown = sorted(set(_object(section, cfg)) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {section} keys {unknown}")
-
-
-def _require(section: str, cfg: dict, keys) -> None:
-    missing = [key for key in keys if key not in cfg]
+    missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"{section} has no {missing[0]!r} key")
 
@@ -116,8 +123,7 @@ def _section(name: str, cfg, build):
     that name: its keys are build's parameters, and each parameter
     without a default must be given."""
     params = inspect.signature(build).parameters.values()
-    _check_keys(name, cfg, {p.name for p in params})
-    _require(name, cfg, [p.name for p in params if p.default is p.empty])
+    _keys(name, cfg, [p.name for p in params], [p.name for p in params if p.default is p.empty])
     return build(**cfg)
 
 
@@ -164,48 +170,40 @@ def _population_from_config(cfg):
     pop = _section("population", spec, _POPULATIONS[kind])
     if kind == "mixture":
         pop = clipped_normal_mixture(pop)
-    _check_keys("transform", t, _TRANSFORM_KEYS)
+    _keys("transform", t, _TRANSFORM_KEYS, ("from", "fraction") if t else ())
     if t:
-        _require("transform", t, ("from", "fraction"))
         options = {k: v for k, v in t.items() if k not in ("from", "fraction")}
         pop = transform(pop, t["from"], t["fraction"], **options)
     return pop
 
 
-def _sweep_from_config(cfg: dict) -> SweepSpec:
-    kind, kinds = cfg.get("kind"), [k.value for k in SweepKind]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"sweep kind must be one of {kinds}, got {kind!r}")
-    needs, takes = SWEEP_KEYS[SweepKind(kind)]
-    _check_keys(kind, cfg, {"kind", "dynamics", *needs, *takes})
-    sections = {"base_mixture": MixtureSpec, "dynamics": DynamicsConfig, "placement": PlacementConfig}
-    built = {key: _section(key, cfg[key], cls) for key, cls in sections.items() if key in cfg}
-    flat = {k: v for k, v in cfg.items() if k not in sections}
-    return SweepSpec(**flat, **built)
-
-
 def _run_command(command: str, cfg: dict) -> dict:
     """Build everything from the config and return filename -> text."""
     if command == "sweep":
-        spec = _sweep_from_config(cfg)
+        kind, kinds = cfg.get("kind"), [k.value for k in SweepKind]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ValueError(f"sweep kind must be one of {kinds}, got {kind!r}")
+        needs, takes = SWEEP_KEYS[SweepKind(kind)]
+        _keys(kind, cfg, {"kind", "dynamics", *needs, *takes})
+    else:
+        allowed = _COMMANDS[command][1]
+        _keys(f"{command} config", cfg, allowed)
+        missing = [key for key in ("population", "placement") if key in allowed and key not in cfg]
+        if missing:
+            raise ValueError(f"{command} config has no {missing[0]!r} section")
+    built = {key: _section(key, cfg[key], cls) for key, cls in _SECTIONS.items() if key in cfg}
+    if command == "sweep":
+        spec = SweepSpec(**{k: v for k, v in cfg.items() if k not in built}, **built)
         if spec.kind is SweepKind.TRAJECTORY_DUMP:
             return dump_trajectories(spec)
         records = run_sweep(spec)
-        return {
-            "sweep.csv": write_sweep_csv(records),
-            "means.csv": write_means_csv(aggregate_means(records)),
-        }
-    _check_keys(f"{command} config", cfg, _COMMAND_KEYS[command])
-    missing = [key for key in ("population", "placement") if key in _COMMAND_KEYS[command] and key not in cfg]
-    if missing:
-        raise ValueError(f"{command} config has no {missing[0]!r} section")
+        return {"sweep.csv": write_sweep_csv(records), "means.csv": write_means_csv(aggregate_means(records))}
     pop = _population_from_config(cfg["population"])
     if command == "gen":
         return {"population.csv": write_population_csv(pop)}
-    dyn = _section("dynamics", cfg.get("dynamics", {}), DynamicsConfig)
+    dyn = built.get("dynamics", DynamicsConfig())
     if command in ("simulate", "place"):
-        place = _section("placement", cfg["placement"], PlacementConfig) if command == "place" else None
-        return run_population(pop, dyn, place)
+        return run_population(pop, dyn, built.get("placement"))
     # graph: the snapshot at the configured step
     step = cfg.get("step", 0)
     require_int("step", step)
@@ -226,11 +224,11 @@ def _run_command(command: str, cfg: dict) -> dict:
 def dispatch(args) -> int:
     # all outputs are built before --out is made: a bad config writes nothing
     try:
-        cfg = _loads(Path(args.config).read_text())
+        cfg = _loads(_path("--config", args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
         outputs = _run_command(args.command, _apply_overrides(cfg, args))
-        out_dir = Path(args.out)
+        out_dir = _path("--out", args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, payload in outputs.items():
             path = out_dir / name

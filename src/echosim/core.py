@@ -471,10 +471,16 @@ def simulate(
 
 def count_clusters(profile, tol: float = 1e-3) -> int:
     """Single-linkage cluster count: a gap > tol between sorted
-    neighbors starts a new cluster."""
+    neighbors starts a new cluster.  profile must be a nonempty 1-D
+    array of finite values, and tol a finite nonnegative number."""
     profile = np.asarray(profile, dtype=float)
+    if profile.ndim != 1:
+        raise ValueError(f"profile must be 1-D, got shape {profile.shape}")
     if profile.size == 0:
         raise ValueError("profile must be nonempty")
+    if not np.isfinite(profile).all():
+        raise ValueError("profile values must be finite")
+    require_finite("tol", tol)
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     s = np.sort(profile)

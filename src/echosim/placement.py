@@ -145,8 +145,6 @@ def compute_injection(
 
 def _batch(g: InfluenceGraph, anchor: int, imbalance: float, side: Side) -> PlacementEvent:
     eps_a = float(g.epsilons[anchor])
-    if eps_a <= 0.0:
-        raise ValueError("anchor epsilon must be positive")
     count = int(math.ceil(imbalance / eps_a))
     xa = float(g.opinions[anchor])
     requested = xa - eps_a if side is Side.LEFT else xa + eps_a

@@ -546,6 +546,22 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("simulate", SPACED3),
+            ("place", {**SPACED3, "placement": {"budget": 1}}),
+            ("graph", {**SPACED3, "step": 1}),
+            ("sweep", {"kind": "trajectory_dump", "base_mixture": HALF10}),
+        ],
+    )
+    def test_bad_dynamics_section_same_on_every_command(self, tmp_path, capsys, command, cfg):
+        # every subcommand builds its dynamics section on one path
+        path = write_cfg(tmp_path, {**cfg, "dynamics": {"max_steps": 0}})
+        assert run_cli([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "echosim: invalid config: max_steps must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, cfg, section",
         [("place", SPACED3, "placement"), ("simulate", {"dynamics": {}}, "population")],
     )
@@ -676,13 +692,18 @@ class TestExitCodes:
         assert "echosim: invalid config: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    @pytest.mark.parametrize("flag", ["--config", "--out", "population path"])
     def test_nul_in_path_is_validation_error(self, tmp_path, capsys, flag):
-        paths = {"--config": write_cfg(tmp_path, SPACED3), "--out": str(tmp_path / "out")}
-        paths[flag] += "\0x"
+        nul_csv = {"population": {"kind": "csv", "path": str(tmp_path / "pop.csv\0x")}}
+        cfg = nul_csv if flag == "population path" else SPACED3
+        paths = {"--config": write_cfg(tmp_path, cfg), "--out": str(tmp_path / "out")}
+        if flag in paths:
+            paths[flag] += "\0x"
         argv = ["gen", "--config", paths["--config"], "--out", paths["--out"], "--quiet"]
         assert run_cli(argv) == 1
-        assert "echosim: invalid config: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "echosim: invalid config: " in err
+        assert f"{flag} " in err and "holds a NUL byte" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_output_path_through_file(self, tmp_path):

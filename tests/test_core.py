@@ -365,6 +365,19 @@ class TestClusters:
         with pytest.raises(ValueError):
             count_clusters([0.1], -1.0)
 
+    @pytest.mark.parametrize(
+        "profile, tol, message",
+        [
+            ([0.1, 0.5, 0.9], float("nan"), "tol must be finite"),
+            ([0.1, 0.5, 0.9], float("inf"), "tol must be finite"),
+            ([0.1, float("nan")], 1e-3, "profile values must be finite"),
+            ([[0.1, 0.2], [0.5, 0.9]], 1e-3, "profile must be 1-D"),
+        ],
+    )
+    def test_bad_input_rejected(self, profile, tol, message):
+        with pytest.raises(ValueError, match=message):
+            count_clusters(profile, tol)
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

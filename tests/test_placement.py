@@ -124,6 +124,15 @@ class TestComputeInjection:
         with pytest.raises(ValueError):
             compute_injection(g, (0, 1))
 
+    @pytest.mark.parametrize(
+        "x, eps", [([0.4, 0.5], [0.0, 0.45]), ([0.5, 0.6], [0.45, 0.0]), ([0.4, 0.5], [-0.0, 0.45])]
+    )
+    def test_zero_epsilon_anchor_is_not_converging(self, x, eps):
+        # a converging anchor has a neighbour at a positive distance of at
+        # most its epsilon, so an anchor with epsilon 0 never gets a batch
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) is not a converging pair"):
+            compute_injection(graph_of(x, eps), (0, 1))
+
     def test_event_time_is_graph_timestamp(self):
         g = graph_of([0.3, 0.7], [0.45, 0.45], t=5)
         left, right = compute_injection(g, (0, 1))
