@@ -85,8 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _path(name: str, text) -> Path:
-    # pathlib would only say "embedded null byte", naming no path
-    if "\0" in str(text):
+    # pathlib would only say "embedded null byte" or "expected str, ...",
+    # naming no path
+    if not isinstance(text, str):
+        raise ValueError(f"{name} {text!r} is not a string")
+    if "\0" in text:
         raise ValueError(f"{name} {text!r} holds a NUL byte")
     return Path(text)
 

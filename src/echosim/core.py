@@ -524,7 +524,8 @@ def write_trajectory_csv(trajectory: list, agents: Population) -> str:
     buf = io.StringIO()
     buf.write("t,agent_id,opinion,epsilon,mindedness,injected\n")
     for t, profile in enumerate(trajectory):
-        buf.writelines(
-            f"{t},{i},{x!r},{tail}" for i, x, tail in zip(ids, np.asarray(profile, dtype=float).tolist(), tails)
-        )
+        # repr once per distinct bit pattern (so -0.0 and 0.0 stay apart)
+        bits, index = np.unique(np.ascontiguousarray(profile, dtype=float).view(np.int64), return_inverse=True)
+        texts = list(map(repr, bits.view(float).tolist()))
+        buf.writelines(f"{t},{i},{texts[k]},{tail}" for i, k, tail in zip(ids, index.tolist(), tails))
     return buf.getvalue()

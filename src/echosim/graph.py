@@ -15,7 +15,8 @@ window bounds per agent, the order, lo and hi of core._windows's record
 placement scan's graph, and keeps the last step's while its windows
 still hold): no edge list and no n x n mask.  Building is O(n log n),
 degrees and pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
-O(n log n) at worst; export is linear in the edge count.  Pulls come
+O(n log n) at worst; DOT export sorts and names each distinct window
+once, and past that is linear in the edge count.  Pulls come
 from the update step's window sums (core._window_sums), so every pull
 is one fixed function of the sorted opinions, the placement scan's
 exact comparisons hold, and there is no agent limit.
@@ -168,11 +169,39 @@ def pendant_in_vertices(g: InfluenceGraph) -> set[int]:
     return set(np.flatnonzero(pendant).tolist())
 
 
-def _edge_lines(g: InfluenceGraph, i: int, names: np.ndarray) -> str:
-    # one join per source over pre-formatted target names (an object array)
-    nb = g.neighbors(i)
-    head = f"  {i} -> "
-    return head + f";\n{head}".join(names[nb[nb != i]].tolist()) + ";"
+def _dot_edges(g: InfluenceGraph) -> list[str]:
+    """The DOT edge lines, one per vertex of out-degree > 1 in vertex
+    order: "  i -> j;" for each out-neighbour j != i, j increasing.
+
+    Vertices that share a window (lo, hi) share its sorted target names,
+    so each distinct window is sorted and named once (one sort of the
+    window keys brings its vertices together) and only one window's
+    names are alive at a time.  Each vertex joins those names with its
+    own separator and cuts its own name out at its text offset: the
+    widths of the names before it plus one separator per name."""
+    names = np.array([str(j) for j in range(g.n)], dtype=object)
+    widths = np.array(list(map(len, names)))
+    sources = np.flatnonzero(out_degrees(g) > 1)
+    lo, hi = g.lo[sources], g.hi[sources]
+    by_window = np.argsort(lo * (g.n + 1) + hi)
+    lines = [""] * len(sources)
+    window = None
+    for slot, i, a, b in zip(by_window.tolist(), *(v[by_window].tolist() for v in (sources, lo, hi))):
+        if window != (a, b):
+            window = a, b
+            targets = np.sort(g.order[a:b])
+            target_names = names[targets].tolist()
+            ends = np.cumsum(widths[targets])
+        head = f"  {i} -> "
+        sep = f";\n{head}"
+        text = sep.join(target_names)
+        k = int(targets.searchsorted(i))
+        w = len(names[i])
+        at = int(ends[k]) - w + k * len(sep)  # where name i starts
+        # cut name i with the separator after it, or (k > 0) the one before it
+        start, stop = (0, w + len(sep)) if k == 0 else (at - len(sep), at + w)
+        lines[slot] = f"{head}{text[:start]}{text[stop:]};"
+    return lines
 
 
 def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
@@ -183,8 +212,7 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
         lines = ["digraph influence {"]
         labels = zip(g.opinions.tolist(), classify_all(g.epsilons).tolist())
         lines.extend(f'  {i} [label="{i}|{x!r}|{m}"];' for i, (x, m) in enumerate(labels))
-        names = np.array([str(j) for j in range(g.n)], dtype=object)
-        lines.extend(_edge_lines(g, i, names) for i in np.flatnonzero(out_degrees(g) > 1).tolist())
+        lines.extend(_dot_edges(g))
         lines.append("}\n")
         return "\n".join(lines)
     if fmt == "json":

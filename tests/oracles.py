@@ -199,3 +199,35 @@ def pendant_in_vertices(x, eps):
         if any(i in adj[j] for j in range(n) if j != i):
             result.add(i)
     return result
+
+
+def mindedness(e):
+    """close below 0.17, moderate up to 0.22, open above."""
+    if e < 0.17:
+        return "close"
+    return "moderate" if e <= 0.22 else "open"
+
+
+def dot_text(x, eps):
+    """The DOT export written one edge at a time: a label line per vertex,
+    then "  i -> j;" for every edge but the self-loops, by i then j."""
+    lines = ["digraph influence {"]
+    for i in range(len(x)):
+        lines.append(f'  {i} [label="{i}|{float(x[i])!r}|{mindedness(eps[i])}"];')
+    for i, nb in enumerate(out_edges(x, eps)):
+        for j in nb:
+            if j != i:
+                lines.append(f"  {i} -> {j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_csv(trajectory, ids, eps, injected):
+    """The trajectory CSV written one row at a time; an agent's rows
+    start at the first profile long enough to hold it."""
+    rows = ["t,agent_id,opinion,epsilon,mindedness,injected\n"]
+    for t, profile in enumerate(trajectory):
+        for k, x in enumerate(profile):
+            flag = "true" if injected[k] else "false"
+            rows.append(f"{t},{ids[k]},{float(x)!r},{float(eps[k])!r},{mindedness(eps[k])},{flag}\n")
+    return "".join(rows)

@@ -706,6 +706,14 @@ class TestExitCodes:
         assert f"{flag} " in err and "holds a NUL byte" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
+    @pytest.mark.parametrize("path", [5, None, ["pop.csv"]])
+    def test_population_path_not_a_string_is_validation_error(self, tmp_path, capsys, path):
+        cfg = write_cfg(tmp_path, {"population": {"kind": "csv", "path": path}})
+        assert run_cli(["gen", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"echosim: invalid config: population path {path!r} is not a string\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
     def test_output_path_through_file(self, tmp_path):
         cfg = write_cfg(tmp_path, SPACED3)
         blocker = tmp_path / "blocker"

@@ -7,11 +7,15 @@ import oracles
 from echosim import (
     DynamicsConfig,
     Mindedness,
+    MixtureSpec,
+    PlacementConfig,
     Population,
     Rule,
     build_graph,
     classify_all,
+    clipped_normal_mixture,
     count_clusters,
+    run_with_placement,
     simulate,
     write_trajectory_csv,
 )
@@ -403,3 +407,29 @@ class TestTrajectoryCsv:
         # repr floats reread exactly
         row = lines[1 + 3].split(",")
         assert float(row[2]) == r.trajectory[1][0]
+
+    @staticmethod
+    def plain(result):
+        a = result.agents
+        return oracles.trajectory_csv(result.trajectory, a.ids.tolist(), a.epsilons.tolist(), a.injected.tolist())
+
+    def test_signed_zeros_and_ties_match_a_plain_row_writer(self):
+        # -0.0 and 0.0 side by side at t = 0, then tied clusters
+        pop = Population.from_arrays(
+            [-0.0, 0.0, 0.3, -0.0, 0.5, 0.5, 1.0, 0.9], [0.0, 0.05, 0.1, 0.0, 0.0, 0.2, 0.05, 0.3]
+        )
+        r = simulate(pop)
+        text = write_trajectory_csv(r.trajectory, r.agents)
+        assert text.startswith("t,agent_id,opinion,epsilon,mindedness,injected\n0,0,-0.0,0.0,close,false\n0,1,0.0,")
+        assert text == self.plain(r)
+        # fewer distinct values than rows, both zeros each step
+        profile = np.array([0.25, -0.0, 0.25, 0.0, -0.0, 0.1 + 0.2, 0.3])
+        agents = Population.from_arrays(profile, [0.1] * 7)
+        want = oracles.trajectory_csv([profile, -profile], list(range(7)), [0.1] * 7, [False] * 7)
+        assert write_trajectory_csv([profile, -profile], agents) == want
+
+    def test_a_roster_grown_mid_run_matches_a_plain_row_writer(self):
+        pop = clipped_normal_mixture(MixtureSpec(n=20, fractions={"close": 0.5, "open": 0.5}, rng_seed=5))
+        r, events = run_with_placement(pop, DynamicsConfig(), PlacementConfig(budget=20, epsilon_new=0.45))
+        assert max(ev.time for ev in events) > 0 and len(r.trajectory[0]) < len(r.trajectory[-1])
+        assert write_trajectory_csv(r.trajectory, r.agents) == self.plain(r)

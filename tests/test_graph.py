@@ -36,6 +36,26 @@ TRI_X = [0.2, 0.4, 0.8]
 TRI_EPS = [0.21, 0.21, 0.61]
 
 
+def _dot_rosters():
+    rng = np.random.default_rng(23)
+    spaced = np.linspace(0.0, 1.0, 105).tolist()
+    ties = (rng.integers(0, 9, 60) / 8).tolist()
+    return {
+        # names 1 to 4 digits wide, narrow windows
+        "ids past 1000": (rng.random(1003).tolist(), rng.choice([0.0, 0.002, 0.01], 1003).tolist()),
+        # every vertex shares the one window: its own name is first,
+        # in the middle or last
+        "one shared window": (spaced, [1.0] * 105),
+        # eps 0 leaves a vertex with only its self-loop, and no edge line
+        "eps 0 skips": (spaced, [0.0, 0.0, 0.01, 0.0, 0.2] * 21),
+        "runs of ties": (ties, rng.choice([0.0, 0.125, 0.3, 1.0], 60).tolist()),
+        "one agent": ([0.5], [0.1]),
+    }
+
+
+DOT_ROSTERS = _dot_rosters()
+
+
 def tri_graph():
     return build_graph(Population.from_arrays(TRI_X, TRI_EPS))
 
@@ -234,6 +254,11 @@ class TestExport:
     def test_dot_single_vertex_no_edges(self):
         text = export_graph(build_graph_arrays([0.5], [0.1]), "dot")
         assert "->" not in text
+
+    @pytest.mark.parametrize("name", sorted(DOT_ROSTERS))
+    def test_dot_text_matches_a_plain_edge_writer(self, name):
+        x, eps = DOT_ROSTERS[name]
+        assert export_graph(build_graph_arrays(x, eps), "dot") == oracles.dot_text(x, eps)
 
     def test_json_edges_match_oracle(self):
         eps = [0.25] * 10
