@@ -210,8 +210,6 @@ def _run_command(command: str, cfg: dict) -> dict:
     # graph: the snapshot at the configured step
     step = cfg.get("step", 0)
     require_int("step", step)
-    if step < 0:
-        raise ValueError(f"graph step must be nonnegative, got {step}")
     fmt = cfg.get("format", "dot")
     if fmt not in ("dot", "json"):
         raise ValueError(f"unknown export format {fmt!r}")

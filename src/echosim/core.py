@@ -67,9 +67,12 @@ def require_finite(name: str, value) -> None:
 
 
 def require_int(name: str, value) -> None:
-    """Reject anything but an integer; a bool is not one."""
+    """Reject anything but a nonnegative integer (every integer key is a
+    count, a step or a seed); a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 def _frozen(values, dtype) -> np.ndarray:

@@ -15,11 +15,12 @@ window bounds per agent, the order, lo and hi of core._windows's record
 placement scan's graph, and keeps the last step's while its windows
 still hold): no edge list and no n x n mask.  Building is O(n log n),
 degrees and pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
-O(n log n) at worst; DOT export sorts and names each distinct window
-once, and past that is linear in the edge count.  Pulls come
-from the update step's window sums (core._window_sums), so every pull
-is one fixed function of the sorted opinions, the placement scan's
-exact comparisons hold, and there is no agent limit.
+O(n log n) at worst; DOT and JSON export share one edge writer that
+sorts and names each distinct window once, and past that is linear in
+the edge count.  Pulls come from the update step's window sums
+(core._window_sums), so every pull is one fixed function of the sorted
+opinions, the placement scan's exact comparisons hold, and there is no
+agent limit.
 """
 
 from __future__ import annotations
@@ -169,19 +170,20 @@ def pendant_in_vertices(g: InfluenceGraph) -> set[int]:
     return set(np.flatnonzero(pendant).tolist())
 
 
-def _dot_edges(g: InfluenceGraph) -> list[str]:
-    """The DOT edge lines, one per vertex of out-degree > 1 in vertex
-    order: "  i -> j;" for each out-neighbour j != i, j increasing.
+def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool) -> list[str]:
+    """One line per vertex with an edge to write, in vertex order: its
+    edges (i, j), j increasing, each as head.format(i) + "j" + tail,
+    joined by join; self-loops only if loops.
 
     Vertices that share a window (lo, hi) share its sorted target names,
     so each distinct window is sorted and named once (one sort of the
     window keys brings its vertices together) and only one window's
-    names are alive at a time.  Each vertex joins those names with its
-    own separator and cuts its own name out at its text offset: the
-    widths of the names before it plus one separator per name."""
+    names are alive at a time.  Without self-loops a vertex cuts its own
+    name out at its text offset: the widths of the names before it plus
+    one separator per name."""
     names = np.array([str(j) for j in range(g.n)], dtype=object)
     widths = np.array(list(map(len, names)))
-    sources = np.flatnonzero(out_degrees(g) > 1)
+    sources = np.flatnonzero(out_degrees(g) > (0 if loops else 1))
     lo, hi = g.lo[sources], g.hi[sources]
     by_window = np.argsort(lo * (g.n + 1) + hi)
     lines = [""] * len(sources)
@@ -192,15 +194,17 @@ def _dot_edges(g: InfluenceGraph) -> list[str]:
             targets = np.sort(g.order[a:b])
             target_names = names[targets].tolist()
             ends = np.cumsum(widths[targets])
-        head = f"  {i} -> "
-        sep = f";\n{head}"
+        first = head.format(i)
+        sep = f"{tail}{join}{first}"
         text = sep.join(target_names)
-        k = int(targets.searchsorted(i))
-        w = len(names[i])
-        at = int(ends[k]) - w + k * len(sep)  # where name i starts
-        # cut name i with the separator after it, or (k > 0) the one before it
-        start, stop = (0, w + len(sep)) if k == 0 else (at - len(sep), at + w)
-        lines[slot] = f"{head}{text[:start]}{text[stop:]};"
+        start = stop = 0  # with self-loops nothing is cut
+        if not loops:
+            k = int(targets.searchsorted(i))
+            w = len(names[i])
+            at = int(ends[k]) - w + k * len(sep)  # where name i starts
+            # cut name i with the separator after it, or (k > 0) the one before it
+            start, stop = (0, w + len(sep)) if k == 0 else (at - len(sep), at + w)
+        lines[slot] = f"{first}{text[:start]}{text[stop:]}{tail}"
     return lines
 
 
@@ -212,22 +216,14 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
         lines = ["digraph influence {"]
         labels = zip(g.opinions.tolist(), classify_all(g.epsilons).tolist())
         lines.extend(f'  {i} [label="{i}|{x!r}|{m}"];' for i, (x, m) in enumerate(labels))
-        lines.extend(_dot_edges(g))
+        lines.extend(_edge_lines(g, "  {} -> ", ";", "\n", loops=False))
         lines.append("}\n")
         return "\n".join(lines)
     if fmt == "json":
-        payload = {
-            "n": g.n,
-            "t": g.timestamp,
-            "vertices": [
-                {
-                    "id": i,
-                    "opinion": float(g.opinions[i]),
-                    "epsilon": float(g.epsilons[i]),
-                }
-                for i in range(g.n)
-            ],
-            "edges": [[i, j] for i in range(g.n) for j in g.neighbors(i).tolist()],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        values = zip(g.opinions.tolist(), g.epsilons.tolist())
+        vertices = [{"id": i, "opinion": x, "epsilon": e} for i, (x, e) in enumerate(values)]
+        text = json.dumps({"n": g.n, "t": g.timestamp, "vertices": vertices}, indent=2)
+        # the edges as indent=2 writes them, in place of the payload's closing "\n}"
+        edges = ",\n".join(_edge_lines(g, "    [\n      {},\n      ", "\n    ]", ",\n", loops=True))
+        return f'{text[:-2]},\n  "edges": [\n{edges}\n  ]\n}}\n'
     raise ValueError(f"unknown export format {fmt!r}")

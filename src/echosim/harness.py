@@ -74,6 +74,8 @@ class SweepSpec:
         self.kind = SweepKind(self.kind)
         require_int("runs", self.runs)
         require_finite("epsilon_new", self.epsilon_new)
+        if self.epsilon_new < 0.0:
+            raise ValueError(f"epsilon_new must be nonnegative, got {self.epsilon_new!r}")
         for name, require, least in (("grid", require_finite, 0), ("population_sizes", require_int, 1)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):

@@ -62,8 +62,6 @@ class PlacementConfig:
         require_int("budget", self.budget)
         require_int("rng_seed", self.rng_seed)
         require_finite("epsilon_new", self.epsilon_new)
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
         if not 0.0 <= self.epsilon_new <= 1.0:
             raise ValueError("epsilon_new must lie in [0, 1]")
 

@@ -142,6 +142,8 @@ def transform(
     require_finite("fraction", fraction)
     require_finite("epsilon_new", epsilon_new)
     require_int("rng_seed", rng_seed)
+    if epsilon_new < 0.0:
+        raise ValueError(f"epsilon_new must be nonnegative, got {epsilon_new!r}")
     from_class = Mindedness(from_class)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")

@@ -9,6 +9,7 @@ tests keep the instances small.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 from fractions import Fraction
 
@@ -220,6 +221,18 @@ def dot_text(x, eps):
                 lines.append(f"  {i} -> {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def json_text(x, eps):
+    """The JSON export of the t = 0 graph with one [i, j] list per edge,
+    self-loops included, by i then j."""
+    payload = {
+        "n": len(x),
+        "t": 0,
+        "vertices": [{"id": i, "opinion": float(x[i]), "epsilon": float(eps[i])} for i in range(len(x))],
+        "edges": [[i, j] for i, nb in enumerate(out_edges(x, eps)) for j in nb],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def trajectory_csv(trajectory, ids, eps, injected):

@@ -391,6 +391,7 @@ class TestExitCodes:
             ("dynamics", {"max_steps": 2.5}),
             ("placement", {"budget": True}),
             ("placement", {"epsilon_new": float("nan")}),
+            ("placement", {"rng_seed": -1}),
         ],
     )
     def test_strict_numbers_rejected(self, tmp_path, capsys, section, values):
@@ -434,6 +435,9 @@ class TestExitCodes:
             ({"kind": ["mixture"]}, "kind"),
             ({"fractions": {"close": 1.0}, "epsilons": {"close": 0.45}}, "epsilons.close"),
             ({"fractions": {"close": 1.0}, "epsilons": {"close": -0.1}}, "epsilons.close"),
+            ({"rng_seed": -1}, "rng_seed"),
+            ({"transform": {"from": "close", "fraction": 0.0, "rng_seed": -3}}, "rng_seed"),
+            ({"transform": {"from": "close", "fraction": 0.0, "epsilon_new": -0.2}}, "epsilon_new"),
         ],
     )
     def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
@@ -460,6 +464,16 @@ class TestExitCodes:
             ),
             ({"grid": 0.3}, "grid"),
             ({"population_sizes": 10}, "population_sizes"),
+            (
+                {
+                    "kind": "transform_sweep",
+                    "grid": [0.0],
+                    "base_mixture": {"n": 10, "fractions": {"close": 0.5, "open": 0.5}},
+                    "transform_from": "close",
+                    "epsilon_new": -0.5,
+                },
+                "epsilon_new",
+            ),
         ],
     )
     def test_sweep_fields_strict(self, tmp_path, capsys, values, name):

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -255,10 +256,31 @@ class TestExport:
         text = export_graph(build_graph_arrays([0.5], [0.1]), "dot")
         assert "->" not in text
 
-    @pytest.mark.parametrize("name", sorted(DOT_ROSTERS))
-    def test_dot_text_matches_a_plain_edge_writer(self, name):
+    @pytest.mark.parametrize(
+        "name, fmt",
+        # ids: the roster's name, and "<name>-json" for the JSON text
+        [pytest.param(name, "dot", id=name) for name in sorted(DOT_ROSTERS)]
+        + [pytest.param(name, "json", id=f"{name}-json") for name in sorted(DOT_ROSTERS)],
+    )
+    def test_dot_text_matches_a_plain_edge_writer(self, name, fmt):
         x, eps = DOT_ROSTERS[name]
-        assert export_graph(build_graph_arrays(x, eps), "dot") == oracles.dot_text(x, eps)
+        want = {"dot": oracles.dot_text, "json": oracles.json_text}[fmt]
+        assert export_graph(build_graph_arrays(x, eps), fmt) == want(x, eps)
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_export_peak_memory_within_four_texts(self, fmt):
+        # one window's names are alive at a time and no Python object is
+        # built per edge, so the traced peak, the text included, stays a
+        # small multiple of the text
+        spec = MixtureSpec(n=300, fractions={"close": 0.5, "open": 0.5}, rng_seed=1)
+        g = build_graph(clipped_normal_mixture(spec))
+        tracemalloc.start()
+        try:
+            text = export_graph(g, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), f"{fmt} peak {peak / len(text):.1f} x its text"
 
     def test_json_edges_match_oracle(self):
         eps = [0.25] * 10
@@ -429,7 +451,7 @@ def test_dot_and_json_edges_match_oracle(inst):
     edges = [tuple(map(int, line.strip(" ;").split(" -> "))) for line in dot if "->" in line]
     want = [(i, j) for i, nb in enumerate(oracles.out_edges(x, eps)) for j in nb]
     assert edges == [(i, j) for i, j in want if j != i]
-    assert [tuple(e) for e in json.loads(export_graph(g, "json"))["edges"]] == want
+    assert export_graph(g, "json") == oracles.json_text(x, eps)
 
 
 @given(grid_instances())
