@@ -1,10 +1,10 @@
 """Experiment harness: parameter sweeps, aggregation, serialization.
 
-A sweep walks a grid of points (epsilon values, conversion fractions,
-or budget fractions depending on the kind) crossed with population
-sizes and run seeds, simulates each cell, and emits one flat record per
-run.  Per-point means across seeds are aggregated separately.  All
-sweeps are deterministic functions of their spec.
+A sweep walks a grid of points (epsilon values, conversion fractions
+or budget fractions, by kind) crossed with population sizes and run
+seeds.  Each cell lists its runs, one executor runs each distinct run
+of a cell once, and every run gets one flat record.  Per-point means
+are aggregated separately.  Sweeps are deterministic in their spec.
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ class SweepSpec:
         require_finite("epsilon_new", self.epsilon_new)
         if self.epsilon_new < 0.0:
             raise ValueError(f"epsilon_new must be nonnegative, got {self.epsilon_new!r}")
-        for name, require, least in (("grid", require_finite, 0), ("population_sizes", require_int, 1)):
+        top = 1.0 if self.kind is SweepKind.TRANSFORM_SWEEP else np.inf  # a conversion fraction is at most 1
+        bounds = ("grid", require_finite, 0, top), ("population_sizes", require_int, 1, 2**63 - 1)  # int64 ids
+        for name, require, least, most in bounds:
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {values!r}")
@@ -84,6 +86,8 @@ class SweepSpec:
                 require(name, value)
                 if value < least:
                     raise ValueError(f"{name} must be at least {least}, got {value!r}")
+                if value > most:
+                    raise ValueError(f"{name} must be at most {most}, got {value!r}")
                 if value in values[:k]:
                     raise ValueError(f"{name} must not repeat {value!r}")
         if self.runs < 1:
@@ -97,6 +101,8 @@ class SweepSpec:
         base, sizes = self.base_mixture, self.population_sizes
         if {"base_mixture", "population_sizes"} <= {*needs} and base.n not in sizes:
             raise ValueError(f"base_mixture.n {base.n} is not one of population_sizes {sizes}")
+        if self.kind is SweepKind.PLACEMENT_COMPARE and float(max(self.grid)) * max(sizes) + 0.5 >= 2**63:
+            raise ValueError(f"grid {max(self.grid)!r} gives a budget past int64 at population size {max(sizes)}")
 
 
 @dataclass
@@ -112,65 +118,60 @@ class SweepRecord:
     c_eqm: int
 
 
-def _outcome(result, dyn: DynamicsConfig) -> tuple:
-    """A run's (t_eqm, converged, c_eqm) as sweep.csv and summary.csv
-    report it: a run that did not settle reports t_eqm = max_steps."""
-    return result.t_eqm if result.converged else dyn.max_steps, result.converged, result.c_eqm
+def _outcome(result, events, dyn: DynamicsConfig) -> tuple:
+    """A run's (budget_spent, t_eqm, converged, c_eqm) as sweep.csv
+    reports it, and summary.csv the last three: a run that did not settle
+    reports t_eqm = max_steps."""
+    return budget_spent(events), result.t_eqm if result.converged else dyn.max_steps, result.converged, result.c_eqm
 
 
-def _record(spec, point, n, seed, result, strategy=None, spent=None):
-    return SweepRecord(spec.kind, float(point), n, seed, strategy, spent, *_outcome(result, spec.dynamics))
+def _execute(runs, dyn: DynamicsConfig, emit=_outcome):
+    """emit(result, events, dyn) of each (population, placement or None)
+    run, in order, with events [] without a placement.  Each distinct
+    (population, effective placement) runs once and its emit repeats:
+    budget 0 is exactly a plain simulate, so it keys as no placement.
+    simulate and run_with_placement are the module globals at run time."""
+    memo = {}
+    for pop, place in runs:
+        key = pop.opinions.tobytes(), pop.epsilons.tobytes(), astuple(place) if place and place.budget else None
+        if key not in memo:
+            memo[key] = emit(*(run_with_placement(pop, dyn, place) if place else (simulate(pop, dyn), [])), dyn)
+        yield memo[key]
 
 
-# Cell functions: the records of one (population size, grid point) cell,
-# one per run, in run order.  base is the base mixture at size n, or None
-# for a kind that does not read it.
+# Cell functions: the runs of one (population size, grid point) cell, in
+# run order, as (seed, strategy, population, placement or None).  They run
+# nothing: run_sweep runs each distinct run once.  base is the base
+# mixture at size n, or None for a kind that does not read it.
 
 
-def run_epsilon_sweep(spec: SweepSpec, n: int, eps: float, base) -> list[SweepRecord]:
-    """Homogeneous evenly spaced population; fully deterministic, so
-    every run of a cell emits an identical record."""
-    result = simulate(evenly_spaced(n, eps), spec.dynamics)
-    return [_record(spec, eps, n, seed, result) for seed in range(spec.runs)]
+def run_epsilon_sweep(spec: SweepSpec, n: int, eps: float, base) -> list:
+    """Homogeneous evenly spaced population, the same under every seed."""
+    pop = evenly_spaced(n, eps)
+    return [(seed, None, pop, None) for seed in range(spec.runs)]
 
 
-def run_transform_sweep(spec: SweepSpec, n: int, frac: float, base) -> list[SweepRecord]:
+def run_transform_sweep(spec: SweepSpec, n: int, frac: float, base) -> list:
     """Per-run transform seeds pick which agents of the fixed base
-    mixture convert.  A seed whose population equals an earlier seed's
-    (at fraction 0 or 1 every seed converts the same agents) reuses that
-    seed's outcome."""
-    records, seen = [], {}
-    for seed in range(spec.runs):
-        pop = transform(base, spec.transform_from, frac, spec.epsilon_new, rng_seed=seed)
-        key = pop.opinions.tobytes() + pop.epsilons.tobytes()
-        if key not in seen:
-            seen[key] = _record(spec, frac, n, seed, simulate(pop, spec.dynamics))
-        records.append(replace(seen[key], seed=seed))
-    return records
+    mixture convert."""
+    convert = (spec.transform_from, frac, spec.epsilon_new)
+    return [(seed, None, transform(base, *convert, rng_seed=seed), None) for seed in range(spec.runs)]
 
 
-def run_placement_compare(spec: SweepSpec, n: int, b: float, base) -> list[SweepRecord]:
-    """Intelligent once, recorded under the mixture's seed, then random
-    over `runs` placement seeds, on the same base mixture; budget =
-    round_half_up(b * n).  With budget 0 every run is the same plain
-    simulate (run_with_placement), so it runs once and its record repeats
-    under each strategy and seed."""
+def run_placement_compare(spec: SweepSpec, n: int, b: float, base) -> list:
+    """Intelligent once, under the mixture's seed (it draws nothing), then
+    random over `runs` placement seeds, on the same base mixture; budget =
+    round_half_up(b * n)."""
     budget = round_half_up(float(b) * n)
     runs = [(Strategy.INTELLIGENT, spec.base_mixture.rng_seed)]
     runs += [(Strategy.RANDOM_AT_START, seed) for seed in range(spec.runs)]
-    records = []
-    for strategy, seed in runs:
-        if budget or not records:
-            # the intelligent strategy draws nothing, so its rng_seed is inert
-            cfg = PlacementConfig(budget, spec.epsilon_new, strategy, seed)
-            result, events = run_with_placement(base, spec.dynamics, cfg)
-        records.append(_record(spec, b, n, seed, result, strategy, budget_spent(events)))
-    return records
+    return [(seed, s, base, PlacementConfig(budget, spec.epsilon_new, s, seed)) for s, seed in runs]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Every (population size, grid point) cell in order, with the base
-    mixture built once per size for the kinds that read it."""
+    mixture built once per size for the kinds that read it; one record
+    per run of the cell, with budget_spent for a placement run."""
     # looked up per call, so a caller that rebinds a cell function sees it
     cell = {
         SweepKind.EPSILON_SWEEP: run_epsilon_sweep,
@@ -184,7 +185,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     for n in spec.population_sizes:
         base = clipped_normal_mixture(replace(spec.base_mixture, n=n)) if reads_base else None
         for point in spec.grid:
-            records.extend(cell(spec, n, point, base))
+            runs = cell(spec, n, point, base)
+            outcomes = _execute([run[2:] for run in runs], spec.dynamics)
+            for (seed, strategy, _, place), (spent, *rest) in zip(runs, outcomes):
+                records.append(SweepRecord(spec.kind, float(point), n, seed, strategy, place and spent, *rest))
     return records
 
 
@@ -193,12 +197,9 @@ def run_population(pop: Population, dyn: DynamicsConfig, place: PlacementConfig 
     payloads keyed by filename: trajectory.csv and summary.csv, plus
     events.csv with placement.  The summary is one n,t_eqm,converged,c_eqm
     row; n counts the injected agents too."""
-    if place is None:
-        result, files = simulate(pop, dyn), {}
-    else:
-        result, events = run_with_placement(pop, dyn, place)
-        files = {"events.csv": write_events_csv(events)}
-    summary = csv_text(("n", "t_eqm", "converged", "c_eqm"), [(result.agents.n, *_outcome(result, dyn))])
+    [(result, events, _)] = _execute([(pop, place)], dyn, lambda *run: run)
+    files = {"events.csv": write_events_csv(events)} if place else {}
+    summary = csv_text(("n", "t_eqm", "converged", "c_eqm"), [(result.agents.n, *_outcome(result, events, dyn)[1:])])
     return {"trajectory.csv": write_trajectory_csv(result.trajectory, result.agents), "summary.csv": summary, **files}
 
 

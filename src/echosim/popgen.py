@@ -56,6 +56,8 @@ class MixtureSpec:
         require_int("rng_seed", self.rng_seed)
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n >= 2**63:
+            raise ValueError("n must be below 2**63, since agent ids are int64")
         self.opinion_dist = OpinionDist(self.opinion_dist)
         for name in ("fractions", "epsilons"):
             values = getattr(self, name)
@@ -105,6 +107,8 @@ def _spaced(n: int) -> np.ndarray:
 def evenly_spaced(n: int, epsilon: float) -> Population:
     """Homogeneous population with x_i = i / (n - 1)."""
     require_int("n", n)
+    if n >= 2**63:
+        raise ValueError("n must be below 2**63, since agent ids are int64")
     require_finite("epsilon", epsilon)
     return Population(_spaced(n), np.full(n, float(epsilon)))
 

@@ -438,6 +438,9 @@ class TestExitCodes:
             ({"rng_seed": -1}, "rng_seed"),
             ({"transform": {"from": "close", "fraction": 0.0, "rng_seed": -3}}, "rng_seed"),
             ({"transform": {"from": "close", "fraction": 0.0, "epsilon_new": -0.2}}, "epsilon_new"),
+            # past int64 ids; a value under the bound would start a huge allocation
+            ({"n": 10**400}, "n"),
+            ({"n": 2**70}, "n"),
         ],
     )
     def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
@@ -497,6 +500,22 @@ class TestExitCodes:
             (
                 {"kind": "placement_compare", "grid": [0.1, -0.5], "base_mixture": HALF10},
                 "grid must be at least 0, got -0.5",
+            ),
+            (
+                {"kind": "transform_sweep", "transform_from": "close", "grid": [0.5, 1.5], "base_mixture": HALF10},
+                "grid must be at most 1.0, got 1.5",
+            ),
+            (
+                {"kind": "placement_compare", "grid": [1e308], "base_mixture": HALF10},
+                "grid 1e+308 gives a budget past int64 at population size 10",
+            ),
+            (
+                {"kind": "placement_compare", "grid": [1e20], "base_mixture": HALF10},
+                "grid 1e+20 gives a budget past int64 at population size 10",
+            ),
+            (
+                {"population_sizes": [10, 2**70]},
+                "population_sizes must be at most 9223372036854775807, got 1180591620717411303424",
             ),
         ],
     )

@@ -1,5 +1,7 @@
 """Tests for sweeps, aggregation and serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -15,9 +17,13 @@ from echosim import (
     SweepRecord,
     SweepSpec,
     aggregate_means,
+    budget_spent,
     clipped_normal_mixture,
     dump_trajectories,
+    evenly_spaced,
+    round_half_up,
     run_sweep,
+    run_with_placement,
     simulate,
     transform,
     write_events_csv,
@@ -237,6 +243,70 @@ class TestCellLoop:
         spec.base_mixture = MixtureSpec(n=10, fractions={M.OPEN: 1.0})
         monkeypatch.setattr(harness, "clipped_normal_mixture", None)  # a call would raise
         assert len(run_sweep(spec)) == 2
+
+
+def placement_spec(grid, sizes, runs):
+    return SweepSpec(
+        kind=SweepKind.PLACEMENT_COMPARE,
+        grid=list(grid),
+        population_sizes=list(sizes),
+        runs=runs,
+        base_mixture=MixtureSpec(n=sizes[0], fractions={M.CLOSE: 0.5, M.OPEN: 0.5}, rng_seed=0),
+    )
+
+
+def record_inputs(spec, r):
+    """The population and placement (or None) a record's run stands for,
+    rebuilt from the record alone."""
+    if spec.kind is SweepKind.EPSILON_SWEEP:
+        return evenly_spaced(r.n, r.point), None
+    base = clipped_normal_mixture(replace(spec.base_mixture, n=r.n))
+    if spec.kind is SweepKind.TRANSFORM_SWEEP:
+        return transform(base, spec.transform_from, r.point, spec.epsilon_new, rng_seed=r.seed), None
+    return base, PlacementConfig(round_half_up(r.point * r.n), spec.epsilon_new, r.strategy, r.seed)
+
+
+def run_key(pop, place):
+    # budget 0 is exactly a plain simulate, so it is not a distinct run
+    effective = (place.budget, place.epsilon_new, place.strategy, place.rng_seed) if place and place.budget else None
+    return pop.opinions.tobytes(), pop.epsilons.tobytes(), effective
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        eps_spec(grid=[0.05, 0.3], sizes=[10, 20], runs=3),
+        # fraction 0.01 of 32 close agents converts none, as 0 does
+        transform_spec([0.0, 0.01, 0.5, 1.0], n=40, runs=3),
+        placement_spec([0.0, 0.1], sizes=[30, 20], runs=3),
+    ],
+    ids=lambda spec: spec.kind.value,
+)
+def test_each_distinct_run_of_a_cell_runs_once(monkeypatch, spec):
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda pop, dyn: calls.append(run_key(pop, None)) or simulate(pop, dyn))
+    monkeypatch.setattr(
+        harness,
+        "run_with_placement",
+        lambda pop, dyn, place: calls.append(run_key(pop, place)) or run_with_placement(pop, dyn, place),
+    )
+    records = run_sweep(spec)
+    expected, cells = [], {}
+    for r in records:
+        pop, place = record_inputs(spec, r)
+        key, cell = run_key(pop, place), cells.setdefault((r.n, r.point), [])
+        if key not in cell:
+            cell.append(key)
+            expected.append(key)
+        if place is None:
+            alone, spent = simulate(pop, spec.dynamics), None
+        else:
+            alone, events = run_with_placement(pop, spec.dynamics, place)
+            spent = budget_spent(events)
+        t_eqm = alone.t_eqm if alone.converged else spec.dynamics.max_steps
+        assert (r.budget_spent, r.t_eqm, r.converged, r.c_eqm) == (spent, t_eqm, alone.converged, alone.c_eqm)
+    assert calls == expected
+    assert len(calls) < len(records)
 
 
 class TestTrajectoryDump:
