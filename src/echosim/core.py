@@ -58,21 +58,31 @@ def classify_all(epsilons) -> np.ndarray:
     return _LABELS[(eps >= CLOSE_MAX).astype(np.intp) + (eps > MODERATE_MAX)]
 
 
-def require_finite(name: str, value) -> None:
-    """Reject anything but a finite real number; a bool is not one."""
+def _require_range(name: str, value, least, most) -> None:
+    # the one range error for a config number
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
+
+
+def require_finite(name: str, value, least=-np.inf, most=np.inf) -> None:
+    """Reject anything but a finite real number in [least, most]; a bool
+    is not one.  A strict bound, such as delta > 0, is the caller's."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    _require_range(name, value, least, most)
 
 
-def require_int(name: str, value) -> None:
-    """Reject anything but a nonnegative integer (every integer key is a
-    count, a step or a seed); a bool is not one."""
+def require_int(name: str, value, least=0) -> None:
+    """Reject anything but an integer in [least, 2**63 - 1]; a bool is
+    not one.  Every integer key is a count, a step or a seed, and counts
+    size int64 arrays and agent ids."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    _require_range(name, value, least, 2**63 - 1)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -366,15 +376,12 @@ class DynamicsConfig:
 
     def __post_init__(self) -> None:
         self.rule = Rule(self.rule)
-        for name in ("delta", "w_own", "cluster_tol"):
-            require_finite(name, getattr(self, name))
-        require_int("max_steps", self.max_steps)
+        require_finite("delta", self.delta)
+        require_finite("w_own", self.w_own)
+        require_finite("cluster_tol", self.cluster_tol, least=0)
+        require_int("max_steps", self.max_steps, least=1)
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-        if self.cluster_tol < 0.0:
-            raise ValueError("cluster_tol must be nonnegative")
         if self.rule is Rule.HK_MOD and not 0.5 < self.w_own <= 1.0:
             raise ValueError("configured w_own must lie in (0.5, 1]")
 
@@ -483,9 +490,7 @@ def count_clusters(profile, tol: float = 1e-3) -> int:
         raise ValueError("profile must be nonempty")
     if not np.isfinite(profile).all():
         raise ValueError("profile values must be finite")
-    require_finite("tol", tol)
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    require_finite("tol", tol, least=0)
     s = np.sort(profile)
     return int(1 + np.sum(np.diff(s) > tol))
 

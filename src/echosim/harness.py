@@ -72,26 +72,19 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         self.kind = SweepKind(self.kind)
-        require_int("runs", self.runs)
-        require_finite("epsilon_new", self.epsilon_new)
-        if self.epsilon_new < 0.0:
-            raise ValueError(f"epsilon_new must be nonnegative, got {self.epsilon_new!r}")
-        top = 1.0 if self.kind is SweepKind.TRANSFORM_SWEEP else np.inf  # a conversion fraction is at most 1
-        bounds = ("grid", require_finite, 0, top), ("population_sizes", require_int, 1, 2**63 - 1)  # int64 ids
-        for name, require, least, most in bounds:
+        require_int("runs", self.runs, least=1)
+        require_finite("epsilon_new", self.epsilon_new, least=0)
+        # a conversion fraction is at most 1; an evenly spaced layout needs 2 agents
+        top = 1.0 if self.kind is SweepKind.TRANSFORM_SWEEP else np.inf
+        smallest = 2 if self.kind is SweepKind.EPSILON_SWEEP else 1
+        for name, require, bounds in ("grid", require_finite, (0, top)), ("population_sizes", require_int, (smallest,)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {values!r}")
             for k, value in enumerate(values):
-                require(name, value)
-                if value < least:
-                    raise ValueError(f"{name} must be at least {least}, got {value!r}")
-                if value > most:
-                    raise ValueError(f"{name} must be at most {most}, got {value!r}")
+                require(name, value, *bounds)
                 if value in values[:k]:
                     raise ValueError(f"{name} must not repeat {value!r}")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
         if self.transform_from is not None:
             self.transform_from = Mindedness(self.transform_from)
         needs = SWEEP_KEYS[self.kind][0]

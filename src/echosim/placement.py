@@ -61,9 +61,7 @@ class PlacementConfig:
         self.strategy = Strategy(self.strategy)
         require_int("budget", self.budget)
         require_int("rng_seed", self.rng_seed)
-        require_finite("epsilon_new", self.epsilon_new)
-        if not 0.0 <= self.epsilon_new <= 1.0:
-            raise ValueError("epsilon_new must lie in [0, 1]")
+        require_finite("epsilon_new", self.epsilon_new, least=0, most=1)
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,8 @@ class MixtureSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        require_int("n", self.n)
+        require_int("n", self.n, least=1)
         require_int("rng_seed", self.rng_seed)
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.n >= 2**63:
-            raise ValueError("n must be below 2**63, since agent ids are int64")
         self.opinion_dist = OpinionDist(self.opinion_dist)
         for name in ("fractions", "epsilons"):
             values = getattr(self, name)
@@ -65,9 +61,7 @@ class MixtureSpec:
                 raise ValueError(f"{name} must map class names to numbers, got {values!r}")
             values = {Mindedness(k): v for k, v in values.items()}
             for k, v in values.items():
-                require_finite(f"{name}.{k}", v)
-                if v < 0.0:
-                    raise ValueError(f"{name}.{k} must be nonnegative, got {v!r}")
+                require_finite(f"{name}.{k}", v, least=0)
             setattr(self, name, {k: float(v) for k, v in values.items()})
         require_finite("mean", self.mean)
         require_finite("sd", self.sd)
@@ -107,8 +101,6 @@ def _spaced(n: int) -> np.ndarray:
 def evenly_spaced(n: int, epsilon: float) -> Population:
     """Homogeneous population with x_i = i / (n - 1)."""
     require_int("n", n)
-    if n >= 2**63:
-        raise ValueError("n must be below 2**63, since agent ids are int64")
     require_finite("epsilon", epsilon)
     return Population(_spaced(n), np.full(n, float(epsilon)))
 
@@ -143,14 +135,10 @@ def transform(
     """Convert a seeded uniform pick of round_half_up(fraction * count)
     agents of from_class to the new epsilon.  Opinions, ids and the
     injected flag never change; mindedness rederives from the epsilon."""
-    require_finite("fraction", fraction)
-    require_finite("epsilon_new", epsilon_new)
+    require_finite("fraction", fraction, least=0, most=1)
+    require_finite("epsilon_new", epsilon_new, least=0)
     require_int("rng_seed", rng_seed)
-    if epsilon_new < 0.0:
-        raise ValueError(f"epsilon_new must be nonnegative, got {epsilon_new!r}")
     from_class = Mindedness(from_class)
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
     pool = np.flatnonzero(pop.mindedness == from_class)
     k = round_half_up(fraction * len(pool))
     eps = pop.epsilons.copy()

@@ -351,9 +351,11 @@ class TestExitCodes:
         assert "'run'" in capsys.readouterr().err
 
     def test_negative_graph_step_rejected(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, {**SPACED3, "step": -1})
-        assert run_cli(["graph", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
-        assert "step" in capsys.readouterr().err
+        # and a step past int64, like every integer key
+        for step in (-1, 2**63):
+            path = write_cfg(tmp_path, {**SPACED3, "step": step})
+            assert run_cli(["graph", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+            assert "step must be" in capsys.readouterr().err
 
     def test_unknown_graph_format_rejected_before_the_run(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -392,6 +394,11 @@ class TestExitCodes:
             ("placement", {"budget": True}),
             ("placement", {"epsilon_new": float("nan")}),
             ("placement", {"rng_seed": -1}),
+            # past int64; a budget under the bound would start a huge allocation
+            ("placement", {"budget": 2**70}),
+            ("placement", {"budget": 2**63}),
+            ("placement", {"rng_seed": 2**63}),
+            ("dynamics", {"max_steps": 2**63}),
         ],
     )
     def test_strict_numbers_rejected(self, tmp_path, capsys, section, values):
@@ -441,6 +448,8 @@ class TestExitCodes:
             # past int64 ids; a value under the bound would start a huge allocation
             ({"n": 10**400}, "n"),
             ({"n": 2**70}, "n"),
+            ({"n": 2**63}, "n"),
+            ({"rng_seed": 2**63}, "rng_seed"),
         ],
     )
     def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
@@ -477,6 +486,7 @@ class TestExitCodes:
                 },
                 "epsilon_new",
             ),
+            ({"runs": 2**63}, "runs"),
         ],
     )
     def test_sweep_fields_strict(self, tmp_path, capsys, values, name):
@@ -492,7 +502,7 @@ class TestExitCodes:
             ({"population_sizes": [10, 10]}, "population_sizes must not repeat 10"),
             ({"grid": [0.3, 0.3]}, "grid must not repeat 0.3"),
             ({"grid": [-0.3]}, "grid must be at least 0, got -0.3"),
-            ({"population_sizes": [10, 0]}, "population_sizes must be at least 1, got 0"),
+            ({"population_sizes": [10, 0]}, "population_sizes must be at least 2, got 0"),
             (
                 {"kind": "transform_sweep", "transform_from": "close", "grid": [-0.2], "base_mixture": HALF10},
                 "grid must be at least 0, got -0.2",
@@ -516,6 +526,12 @@ class TestExitCodes:
             (
                 {"population_sizes": [10, 2**70]},
                 "population_sizes must be at most 9223372036854775807, got 1180591620717411303424",
+            ),
+            # an evenly spaced layout needs 2 agents; the n = 10 cell must not run first
+            ({"population_sizes": [10, 1]}, "population_sizes must be at least 2, got 1"),
+            (
+                {"kind": "placement_compare", "grid": [0.1], "population_sizes": [10, 0], "base_mixture": HALF10},
+                "population_sizes must be at least 1, got 0",
             ),
         ],
     )

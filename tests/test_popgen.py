@@ -127,10 +127,12 @@ class TestMixture:
         assert abs(float(np.mean(pop.epsilons)) - 0.098) <= 1e-12
 
     def test_seed_reproducibility(self):
-        a = clipped_normal_mixture(mix_80_20(seed=5))
-        b = clipped_normal_mixture(mix_80_20(seed=5))
-        assert np.array_equal(a.opinions, b.opinions)
-        assert np.array_equal(a.epsilons, b.epsilons)
+        # 2**63 - 1 is the largest seed an integer key takes
+        for seed in (5, 2**63 - 1):
+            a = clipped_normal_mixture(mix_80_20(seed=seed))
+            b = clipped_normal_mixture(mix_80_20(seed=seed))
+            assert np.array_equal(a.opinions, b.opinions)
+            assert np.array_equal(a.epsilons, b.epsilons)
 
     def test_seed_sensitivity(self):
         a = clipped_normal_mixture(mix_80_20(seed=0))

@@ -42,3 +42,17 @@ def test_every_private_module_name_is_used():
         and not any(name in _referenced(other) for _, other in statements if other is not node)
     ]
     assert unused == []
+
+
+def test_range_errors_are_worded_only_in_core():
+    # every config number's range goes through core.require_int or
+    # core.require_finite, so no other module words a range error itself
+    phrases = ("must be at least", "must be at most", "must be nonnegative", "must lie in")
+    found = [
+        f"{path.name}: {phrase}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "core.py"
+        for phrase in phrases
+        if phrase in path.read_text()
+    ]
+    assert found == []
