@@ -12,6 +12,7 @@ clusters are maximal groups of opinions chained within cluster_tol.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -71,7 +72,11 @@ def require_finite(name: str, value, least=-np.inf, most=np.inf) -> None:
     is not one.  A strict bound, such as delta > 0, is the caller's."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not np.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     _require_range(name, value, least, most)
 
@@ -83,6 +88,14 @@ def require_int(name: str, value, least=0) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     _require_range(name, value, least, 2**63 - 1)
+
+
+def require_member(name: str, value, enum):
+    """The member of enum that value is or names, or an error naming the key."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(f"{name} must be one of {[m.value for m in enum]}, got {value!r}") from None
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -375,7 +388,7 @@ class DynamicsConfig:
     cluster_tol: float = 1e-3
 
     def __post_init__(self) -> None:
-        self.rule = Rule(self.rule)
+        self.rule = require_member("rule", self.rule, Rule)
         require_finite("delta", self.delta)
         require_finite("w_own", self.w_own)
         require_finite("cluster_tol", self.cluster_tol, least=0)

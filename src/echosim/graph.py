@@ -3,10 +3,10 @@
 Vertex i carries a directed edge to every agent it listens to, so edges
 point from the influenced to the influencer: (i -> j) iff j lies in i's
 confidence interval.  Every vertex has a self-loop.  The graph is a
-pure function of the opinion profile and epsilons at one time instant;
-the structural analyses here (degrees, left/right pulls, strongly
-connected components, pendant in-vertices) drive both the cluster
-arguments and the placement scan.
+pure function of the opinion profile and epsilons at one time instant,
+checked as a Population; the structural analyses here (degrees,
+left/right pulls, strongly connected components, pendant in-vertices)
+drive both the cluster arguments and the placement scan.
 
 Sorted by opinion, every agent's out-neighbours form one contiguous
 window of the sort order, so a graph is held as that order plus two
@@ -68,18 +68,11 @@ def build_graph(pop: Population, t: int = 0) -> InfluenceGraph:
 
 
 def build_graph_arrays(x, eps, t: int = 0) -> InfluenceGraph:
-    """The graph on the exact predicate |x_j - x_i| <= eps_i, from the
-    same sorted windows as the update step (core._windows)."""
-    x = np.array(x, dtype=float)
-    eps = np.array(eps, dtype=float)
-    if x.size == 0:
-        raise ValueError("graph needs at least one agent")
-    if x.shape != eps.shape or x.ndim != 1:
-        raise ValueError("opinions and epsilons must be 1-d and of equal length")
-    if not (np.isfinite(x).all() and np.isfinite(eps).all() and (eps >= 0.0).all()):
-        raise ValueError("opinions must be finite and epsilons finite and nonnegative")
-    w = _windows(x, eps)
-    return InfluenceGraph(x, eps, w.order, w.lo, w.hi, t)
+    """The graph on the exact predicate |x_j - x_i| <= eps_i of the roster
+    Population(x, eps), from the update step's sorted windows (core._windows)."""
+    pop = Population(x, eps)
+    w = _windows(pop.opinions, pop.epsilons)
+    return InfluenceGraph(pop.opinions, pop.epsilons, w.order, w.lo, w.hi, t)
 
 
 def out_degrees(g: InfluenceGraph) -> np.ndarray:

@@ -22,6 +22,7 @@ from .core import (
     csv_text,
     require_finite,
     require_int,
+    require_member,
     simulate,
     write_trajectory_csv,
 )
@@ -71,7 +72,7 @@ class SweepSpec:
     epsilon_new: float = MODERATE_EPSILON
 
     def __post_init__(self) -> None:
-        self.kind = SweepKind(self.kind)
+        self.kind = require_member("kind", self.kind, SweepKind)
         require_int("runs", self.runs, least=1)
         require_finite("epsilon_new", self.epsilon_new, least=0)
         # a conversion fraction is at most 1; an evenly spaced layout needs 2 agents
@@ -86,7 +87,7 @@ class SweepSpec:
                 if value in values[:k]:
                     raise ValueError(f"{name} must not repeat {value!r}")
         if self.transform_from is not None:
-            self.transform_from = Mindedness(self.transform_from)
+            self.transform_from = require_member("transform_from", self.transform_from, Mindedness)
         needs = SWEEP_KEYS[self.kind][0]
         for name in needs:
             if getattr(self, name) in (None, [], ()):
@@ -163,8 +164,9 @@ def run_placement_compare(spec: SweepSpec, n: int, b: float, base) -> list:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Every (population size, grid point) cell in order, with the base
-    mixture built once per size for the kinds that read it; one record
-    per run of the cell, with budget_spent for a placement run."""
+    mixture built once per size, every size before the first cell, for
+    the kinds that read it; one record per run of the cell, with
+    budget_spent for a placement run."""
     # looked up per call, so a caller that rebinds a cell function sees it
     cell = {
         SweepKind.EPSILON_SWEEP: run_epsilon_sweep,
@@ -174,11 +176,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     if cell is None:
         raise ValueError(f"{spec.kind.value} emits trajectories, not sweep records")
     reads_base = "base_mixture" in SWEEP_KEYS[spec.kind][0]
+    bases = {n: clipped_normal_mixture(replace(spec.base_mixture, n=n)) for n in spec.population_sizes if reads_base}
     records = []
     for n in spec.population_sizes:
-        base = clipped_normal_mixture(replace(spec.base_mixture, n=n)) if reads_base else None
         for point in spec.grid:
-            runs = cell(spec, n, point, base)
+            runs = cell(spec, n, point, bases.get(n))
             outcomes = _execute([run[2:] for run in runs], spec.dynamics)
             for (seed, strategy, _, place), (spent, *rest) in zip(runs, outcomes):
                 records.append(SweepRecord(spec.kind, float(point), n, seed, strategy, place and spent, *rest))

@@ -35,6 +35,7 @@ from .core import (
     csv_text,
     require_finite,
     require_int,
+    require_member,
     simulate,
 )
 from .graph import InfluenceGraph, _pulls
@@ -58,7 +59,7 @@ class PlacementConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        self.strategy = Strategy(self.strategy)
+        self.strategy = require_member("strategy", self.strategy, Strategy)
         require_int("budget", self.budget)
         require_int("rng_seed", self.rng_seed)
         require_finite("epsilon_new", self.epsilon_new, least=0, most=1)

@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import MODERATE_EPSILON, Mindedness, Population, classify_all, csv_text, require_finite, require_int
+from .core import MODERATE_EPSILON, Mindedness, Population, classify_all, csv_text
+from .core import require_finite, require_int, require_member
 
 NORMAL_MEAN = 0.5
 NORMAL_SD = 0.125
@@ -27,10 +28,6 @@ DEFAULT_EPSILONS = {
     Mindedness.MODERATE: MODERATE_EPSILON,
     Mindedness.OPEN: 0.45,
 }
-
-# canonical class order for counting and epsilon assignment
-_CLASS_ORDER = (Mindedness.CLOSE, Mindedness.MODERATE, Mindedness.OPEN)
-
 
 class OpinionDist(str, Enum):
     EVENLY_SPACED = "evenly_spaced"
@@ -52,14 +49,14 @@ class MixtureSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        require_int("n", self.n, least=1)
+        self.opinion_dist = require_member("opinion_dist", self.opinion_dist, OpinionDist)
+        require_int("n", self.n, least=2 if self.opinion_dist is OpinionDist.EVENLY_SPACED else 1)
         require_int("rng_seed", self.rng_seed)
-        self.opinion_dist = OpinionDist(self.opinion_dist)
         for name in ("fractions", "epsilons"):
             values = getattr(self, name)
             if not isinstance(values, dict):
                 raise ValueError(f"{name} must map class names to numbers, got {values!r}")
-            values = {Mindedness(k): v for k, v in values.items()}
+            values = {require_member(f"{name} class", k, Mindedness): v for k, v in values.items()}
             for k, v in values.items():
                 require_finite(f"{name}.{k}", v, least=0)
             setattr(self, name, {k: float(v) for k, v in values.items()})
@@ -80,10 +77,10 @@ class MixtureSpec:
 
 
 def class_counts(spec: MixtureSpec) -> dict:
-    """Agents per class: round half up, capped at the agents not yet
-    assigned; the last named class absorbs the remainder so the counts
-    always sum to n."""
-    present = [c for c in _CLASS_ORDER if c in spec.fractions]
+    """Agents per class, in close/moderate/open order: round half up,
+    capped at the agents not yet assigned; the last named class absorbs
+    the remainder so the counts always sum to n."""
+    present = [c for c in Mindedness if c in spec.fractions]
     counts = {}
     for c in present[:-1]:
         counts[c] = min(round_half_up(spec.fractions[c] * spec.n), spec.n - sum(counts.values()))
@@ -91,18 +88,11 @@ def class_counts(spec: MixtureSpec) -> dict:
     return counts
 
 
-def _spaced(n: int) -> np.ndarray:
-    """The evenly spaced opinions i / (n - 1) of n >= 2 agents."""
-    if n < 2:
-        raise ValueError("evenly spaced layout needs at least 2 agents")
-    return np.linspace(0.0, 1.0, n)
-
-
 def evenly_spaced(n: int, epsilon: float) -> Population:
-    """Homogeneous population with x_i = i / (n - 1)."""
-    require_int("n", n)
+    """Homogeneous population of n >= 2 agents with x_i = i / (n - 1)."""
+    require_int("n", n, least=2)
     require_finite("epsilon", epsilon)
-    return Population(_spaced(n), np.full(n, float(epsilon)))
+    return Population(np.linspace(0.0, 1.0, n), np.full(n, float(epsilon)))
 
 
 def clipped_normal_mixture(spec: MixtureSpec) -> Population:
@@ -119,7 +109,7 @@ def clipped_normal_mixture(spec: MixtureSpec) -> Population:
     )
     rng.shuffle(eps)
     if spec.opinion_dist is OpinionDist.EVENLY_SPACED:
-        x = _spaced(spec.n)
+        x = np.linspace(0.0, 1.0, spec.n)
     else:
         x = np.clip(rng.normal(spec.mean, spec.sd, spec.n), 0.0, 1.0)
     return Population(x, eps)
@@ -138,7 +128,7 @@ def transform(
     require_finite("fraction", fraction, least=0, most=1)
     require_finite("epsilon_new", epsilon_new, least=0)
     require_int("rng_seed", rng_seed)
-    from_class = Mindedness(from_class)
+    from_class = require_member("from", from_class, Mindedness)
     pool = np.flatnonzero(pop.mindedness == from_class)
     k = round_half_up(fraction * len(pool))
     eps = pop.epsilons.copy()

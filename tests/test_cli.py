@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import echosim
+from echosim import harness
 from echosim.cli import main
 from echosim.harness import SWEEP_KEYS, SweepKind, SweepSpec, run_sweep, write_sweep_csv
 from echosim.placement import Strategy
@@ -38,6 +39,16 @@ MIX = {
 }
 HALF10 = {"n": 10, "fractions": {"close": 0.5, "open": 0.5}}
 HALF60 = {"n": 60, "fractions": {"close": 0.5, "open": 0.5}, "rng_seed": 3}
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The harness's simulate and run_with_placement calls, by name, in call order."""
+    calls = []
+    for name in ("simulate", "run_with_placement"):
+        run = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, name=name, run=run: calls.append(name) or run(*args))
+    return calls
 
 
 class TestGen:
@@ -399,6 +410,7 @@ class TestExitCodes:
             ("placement", {"budget": 2**63}),
             ("placement", {"rng_seed": 2**63}),
             ("dynamics", {"max_steps": 2**63}),
+            ("dynamics", {"cluster_tol": 10**400}),
         ],
     )
     def test_strict_numbers_rejected(self, tmp_path, capsys, section, values):
@@ -450,6 +462,7 @@ class TestExitCodes:
             ({"n": 2**70}, "n"),
             ({"n": 2**63}, "n"),
             ({"rng_seed": 2**63}, "rng_seed"),
+            ({"n": 1, "opinion_dist": "evenly_spaced"}, "n"),
         ],
     )
     def test_mixture_numbers_strict(self, tmp_path, capsys, values, name):
@@ -487,6 +500,8 @@ class TestExitCodes:
                 "epsilon_new",
             ),
             ({"runs": 2**63}, "runs"),
+            # an integer past the float range is not finite
+            ({"grid": [10**400]}, "grid"),
         ],
     )
     def test_sweep_fields_strict(self, tmp_path, capsys, values, name):
@@ -533,14 +548,56 @@ class TestExitCodes:
                 {"kind": "placement_compare", "grid": [0.1], "population_sizes": [10, 0], "base_mixture": HALF10},
                 "population_sizes must be at least 1, got 0",
             ),
+            # every size's base mixture is built before the n = 20 cells run
+            (
+                {
+                    "kind": "placement_compare",
+                    "grid": [0.1],
+                    "population_sizes": [20, 1],
+                    "base_mixture": {"n": 20, "fractions": {"close": 0.5, "open": 0.5}, "opinion_dist": "evenly_spaced"},
+                },
+                "n must be at least 2, got 1",
+            ),
         ],
     )
-    def test_sweep_lists_checked_before_any_cell_runs(self, tmp_path, capsys, values, message):
+    def test_sweep_lists_checked_before_any_cell_runs(self, tmp_path, capsys, runs, values, message):
         # a repeated entry would run twice and merge into one mean
         cfg = {"kind": "epsilon_sweep", "grid": [0.3], "population_sizes": [10], "runs": 1, **values}
         path = write_cfg(tmp_path, cfg)
         assert run_cli(["sweep", "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
         assert f"echosim: invalid config: {message}" in capsys.readouterr().err
+        assert runs == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("simulate", {**SPACED3, "dynamics": {"rule": "bogus"}}, "rule"),
+            ("gen", {"population": {**MIX["population"], "opinion_dist": "bogus"}}, "opinion_dist"),
+            ("gen", {"population": {**MIX["population"], "fractions": {"close": 0.5, "bogus": 0.5}}}, "fractions class"),
+            ("gen", {"population": {**MIX["population"], "epsilons": {"bogus": 0.1}}}, "epsilons class"),
+            ("place", {**SPACED3, "placement": {"budget": 1, "strategy": "bogus"}}, "strategy"),
+            ("gen", {"population": {**MIX["population"], "transform": {"from": "bogus", "fraction": 0.5}}}, "from"),
+            (
+                "sweep",
+                {
+                    "kind": "transform_sweep",
+                    "grid": [0.5],
+                    "population_sizes": [10],
+                    "base_mixture": HALF10,
+                    "transform_from": "bogus",
+                },
+                "transform_from",
+            ),
+        ],
+    )
+    def test_enum_key_named(self, tmp_path, capsys, runs, command, cfg, key):
+        path = write_cfg(tmp_path, cfg)
+        assert run_cli([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"echosim: invalid config: {key} must be one of [" in err
+        assert err.endswith("], got 'bogus'\n")
+        assert runs == []
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     @pytest.mark.parametrize(

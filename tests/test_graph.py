@@ -95,10 +95,16 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "x, eps",
-        [([0.5, np.nan], [0.1, 0.1]), ([0.5, 0.6], [0.1, np.inf]), ([0.5, 0.6], [0.1, -0.1]), ([0.5], [0.1, 0.1])],
+        [
+            ([0.5, np.nan], [0.1, 0.1]),
+            ([0.5, 0.6], [0.1, np.inf]),
+            ([0.5, 0.6], [0.1, -0.1]),
+            ([0.5], [0.1, 0.1]),
+            ([0.2, 1.5], [0.1, 0.1]),
+        ],
     )
     def test_bad_inputs_rejected(self, x, eps):
-        # the window bounds assume finite opinions and finite nonnegative eps
+        # a snapshot is checked as a Population, like any roster
         with pytest.raises(ValueError):
             build_graph_arrays(x, eps)
 

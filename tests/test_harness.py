@@ -224,16 +224,16 @@ class TestPlacementCompare:
 
 class TestCellLoop:
     def test_one_base_mixture_per_size_and_one_call_per_cell(self, monkeypatch):
-        built, cells = [], []
+        # every size's base mixture is built before the first cell
+        calls = []
         make_base, cell = harness.clipped_normal_mixture, harness.run_transform_sweep
-        monkeypatch.setattr(harness, "clipped_normal_mixture", lambda spec: built.append(spec.n) or make_base(spec))
+        monkeypatch.setattr(harness, "clipped_normal_mixture", lambda spec: calls.append(spec.n) or make_base(spec))
         # run_sweep finds its cell functions by module global at call time
-        monkeypatch.setattr(harness, "run_transform_sweep", lambda *a: cells.append(a[1:3]) or cell(*a))
+        monkeypatch.setattr(harness, "run_transform_sweep", lambda *a: calls.append(a[1:3]) or cell(*a))
         spec = transform_spec([0.0, 0.5], n=20, runs=2)
         spec.population_sizes = [20, 30]
         records = run_sweep(spec)
-        assert built == [20, 30]
-        assert cells == [(20, 0.0), (20, 0.5), (30, 0.0), (30, 0.5)]
+        assert calls == [20, 30, (20, 0.0), (20, 0.5), (30, 0.0), (30, 0.5)]
         assert [(r.n, r.point, r.seed) for r in records] == [
             (n, p, seed) for n in (20, 30) for p in (0.0, 0.5) for seed in (0, 1)
         ]

@@ -50,10 +50,14 @@ class TestEvenlySpaced:
         assert np.all(pop.epsilons == 0.2)
 
     def test_too_small_rejected(self):
-        # a mixture laid out evenly spaced keeps the same rule and message
-        spec = MixtureSpec(n=1, fractions={M.OPEN: 1.0}, opinion_dist=OpinionDist.EVENLY_SPACED)
-        for build in (lambda: evenly_spaced(1, 0.2), lambda: clipped_normal_mixture(spec)):
-            with pytest.raises(ValueError, match="evenly spaced layout needs at least 2 agents"):
+        # a mixture laid out evenly spaced keeps the same rule and message,
+        # and its spec rejects the size before any population is drawn
+        builds = (
+            lambda: evenly_spaced(1, 0.2),
+            lambda: MixtureSpec(n=1, fractions={M.OPEN: 1.0}, opinion_dist=OpinionDist.EVENLY_SPACED),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
                 build()
 
     @pytest.mark.parametrize(
