@@ -193,11 +193,12 @@ class _Windows(NamedTuple):
     opinion sort order; agent i listens to sorted positions [lo[i], hi[i]).
     The plan: each agent's window size; the runs of equal windows in the
     sort order (such as a merged cluster that shares one epsilon) as their
-    bounds, each sorted position's run index and the runs' block mask
-    (_block_mask); then _windows_slack's pieces, in the sort order: the
-    window edges it tests, [c, c + 1] for _settle's edges c, the bounds c
-    was settled on, each adjacent pair's tie threshold, and which adjacent
-    pairs share a window with the lower index first."""
+    bounds, each agent's run index (in agent order, so the step gathers
+    its sums with one take) and the runs' block mask (_block_mask); then
+    _windows_slack's pieces, in the sort order: the window edges it tests,
+    [c, c + 1] for _settle's edges c, the bounds c was settled on, each
+    adjacent pair's tie threshold, and which adjacent pairs share a window
+    with the lower index first."""
 
     order: np.ndarray
     lo: np.ndarray
@@ -224,22 +225,23 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> _Windows:
     < the next float above eps_i) are prefixes of the sort order.  In that
     order, searchsorted guesses both prefix lengths of every agent and
     _settle corrects them on the predicate itself, so ties and rounding
-    fall where the dense predicate puts them; one scatter gives lo, hi."""
+    fall where the dense predicate puts them; one scatter gives lo, hi
+    and each agent's run."""
     order = np.argsort(x, kind="stable")
     s = x[order]
     e = eps[order]
     b = np.array([-e, np.nextafter(e, np.inf)])
     c = _settle(s, np.searchsorted(s, s + b), b)
     lo_s, hi_s = c
-    lo, hi = np.empty_like(c)
-    lo[order], hi[order] = c
     first = np.ones(len(s), dtype=bool)
     first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
     lo_r, hi_r = lo_s[first], hi_s[first]
+    lo, hi, run = np.empty((3, len(s)), dtype=c.dtype)
+    lo[order], hi[order], run[order] = lo_s, hi_s, np.cumsum(first) - 1
     up = order[:-1] < order[1:]
     return _Windows(
         order, lo, hi,
-        hi - lo, lo_r, hi_r, np.cumsum(first) - 1, _block_mask(len(s), lo_r, hi_r),
+        hi - lo, lo_r, hi_r, run, _block_mask(len(s), lo_r, hi_r),
         np.array([c, c + 1]), b, np.where(up, 0.0, _TIE), up & ~first[1:],
     )
 
@@ -298,8 +300,19 @@ def _block_mask(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
     most _LEAF values or at most _BLOCK cells); None when it does not."""
     if m > _LEAF and len(lo) * m > _BLOCK:
         return None
-    p = np.arange(m)
-    return (lo[:, None] <= p) & (p < hi[:, None])
+    # each row is one run-length pattern: a false, b - a true, m - b false,
+    # with [a, b) the window cut to [0, m) (the recursion passes bounds
+    # relative to a node); np.clip would look up its limits on every call
+    k = len(lo)
+    counts = np.empty((k, 3), dtype=np.intp)
+    a, b = counts[:, 0], counts[:, 1]
+    np.minimum(np.maximum(lo, 0), m, out=a)
+    np.minimum(np.maximum(hi, a), m, out=b)
+    np.subtract(m, b, out=counts[:, 2])
+    b -= a
+    inside = np.zeros((k, 3), dtype=bool)
+    inside[:, 1] = True
+    return np.repeat(inside, counts.ravel()).reshape(k, m)
 
 
 def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np.ndarray:
@@ -328,7 +341,7 @@ def _window_sums(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask=None) -> np
     if mask is not None:
         block = np.zeros(mask.shape)
         np.copyto(block, s, where=mask)
-        return block.sum(axis=1)
+        return np.add.reduce(block, axis=1)
     half = m // 2 - (m // 2) % 8
     out = 0.0
     for start, part in ((0, s[:half]), (half, s[half:])):
@@ -361,11 +374,13 @@ def _step_arrays(
     if w is None:
         w = _windows(x, eps)
     # a run of equal windows takes its sum once
-    sums = np.empty(len(x))
-    sums[w.order] = _window_sums(x[w.order], w.lo_r, w.hi_r, w.mask)[w.run]
+    sums = _window_sums(x[w.order], w.lo_r, w.hi_r, w.mask).take(w.run)
     if rule is Rule.HK:
-        out = sums / w.sizes
-    elif rule is Rule.HK_MOD:
+        # no clip: rounding is monotone, so the pairwise sum of k values in
+        # [0, 1] (zeros outside the window) lies in [0, k], and so does
+        # the mean in [0, 1]
+        return sums / w.sizes
+    if rule is Rule.HK_MOD:
         own = np.asarray(w_own, dtype=float)
         if np.any(own <= 0.0) or np.any(own > 1.0):
             raise ValueError("w_own must lie in (0, 1]")
@@ -373,10 +388,8 @@ def _step_arrays(
         other_sums = sums - x
         # an agent alone in its interval keeps its opinion unchanged
         mean_others = np.where(others > 0, other_sums / np.maximum(others, 1), x)
-        out = own * x + (1.0 - own) * mean_others
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    return out.clip(0.0, 1.0)
+        return (own * x + (1.0 - own) * mean_others).clip(0.0, 1.0)
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 @dataclass

@@ -3,14 +3,17 @@
 A sweep walks a grid of points (epsilon values, conversion fractions
 or budget fractions, by kind) crossed with population sizes and run
 seeds.  Each cell lists its runs, one executor runs each distinct run
-of a cell once, and every run gets one flat record.  Per-point means
-are aggregated separately.  Sweeps are deterministic in their spec.
+of the whole sweep once (an intelligent placement that the sweep's
+largest-budget intelligent run already answers is that run), and every
+run gets one flat record.  Per-point means are aggregated separately.
+Sweeps are deterministic in their spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -122,21 +125,49 @@ def _outcome(result, events, dyn: DynamicsConfig) -> tuple:
 def _execute(runs, dyn: DynamicsConfig, emit=_outcome):
     """emit(result, events, dyn) of each (population, placement or None)
     run, in order, with events [] without a placement.  Each distinct
-    (population, effective placement) runs once and its emit repeats:
-    budget 0 is exactly a plain simulate, so it keys as no placement.
-    simulate and run_with_placement are the module globals at run time."""
+    (population, effective placement) runs once and its emit repeats.
+    Two rules make distinct configs one run:
+    - budget 0 is exactly a plain simulate, so it keys as no placement;
+    - an intelligent placement whose budget B is at least S, the spend
+      of the largest-budget intelligent run on the same population and
+      epsilon_new, is that run.  At every step the smaller run has at
+      most the larger's budget left, so it refuses every batch the
+      larger refuses, and at least what the larger still spends, so it
+      can pay for every batch the larger takes; each step takes a prefix
+      of the same offers, so both take the same batches.
+    The largest run is itself one of runs, so no run is added; it runs
+    when the first placement of its group asks for S.  simulate and
+    run_with_placement are the module globals at run time."""
+    runs = [((pop.opinions.tobytes(), pop.epsilons.tobytes()), pop, place) for pop, place in runs]
+    largest = {}
+    for same, _, place in runs:
+        if place and place.strategy is Strategy.INTELLIGENT:
+            group = same, place.epsilon_new
+            if group not in largest or place.budget > largest[group].budget:
+                largest[group] = place
     memo = {}
-    for pop, place in runs:
-        key = pop.opinions.tobytes(), pop.epsilons.tobytes(), astuple(place) if place and place.budget else None
+
+    def run(same, pop, place):
+        # emit's value and the run's spend
+        key = same, astuple(place) if place and place.budget else None
         if key not in memo:
-            memo[key] = emit(*(run_with_placement(pop, dyn, place) if place else (simulate(pop, dyn), [])), dyn)
-        yield memo[key]
+            result, events = run_with_placement(pop, dyn, place) if place else (simulate(pop, dyn), [])
+            memo[key] = emit(result, events, dyn), budget_spent(events)
+        return memo[key]
+
+    for same, pop, place in runs:
+        if place and place.budget and place.strategy is Strategy.INTELLIGENT:
+            top = largest[same, place.epsilon_new]
+            if place.budget >= run(same, pop, top)[1]:
+                place = top
+        yield run(same, pop, place)[0]
 
 
 # Cell functions: the runs of one (population size, grid point) cell, in
 # run order, as (seed, strategy, population, placement or None).  They run
-# nothing: run_sweep runs each distinct run once.  base is the base
-# mixture at size n, or None for a kind that does not read it.
+# nothing: run_sweep lists every cell's runs, then runs each distinct run
+# of the sweep once.  base is the base mixture at size n, or None for a
+# kind that does not read it.
 
 
 def run_epsilon_sweep(spec: SweepSpec, n: int, eps: float, base) -> list:
@@ -166,7 +197,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Every (population size, grid point) cell in order, with the base
     mixture built once per size, every size before the first cell, for
     the kinds that read it; one record per run of the cell, with
-    budget_spent for a placement run."""
+    budget_spent for a placement run.  Every cell's runs are listed
+    before any runs, and one _execute runs them all."""
     # looked up per call, so a caller that rebinds a cell function sees it
     cell = {
         SweepKind.EPSILON_SWEEP: run_epsilon_sweep,
@@ -177,14 +209,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
         raise ValueError(f"{spec.kind.value} emits trajectories, not sweep records")
     reads_base = "base_mixture" in SWEEP_KEYS[spec.kind][0]
     bases = {n: clipped_normal_mixture(replace(spec.base_mixture, n=n)) for n in spec.population_sizes if reads_base}
-    records = []
-    for n in spec.population_sizes:
-        for point in spec.grid:
-            runs = cell(spec, n, point, bases.get(n))
-            outcomes = _execute([run[2:] for run in runs], spec.dynamics)
-            for (seed, strategy, _, place), (spent, *rest) in zip(runs, outcomes):
-                records.append(SweepRecord(spec.kind, float(point), n, seed, strategy, place and spent, *rest))
-    return records
+    cells = [(n, point) for n in spec.population_sizes for point in spec.grid]
+    runs = [(n, point, *run) for n, point in cells for run in cell(spec, n, point, bases.get(n))]
+    outcomes = _execute([run[4:] for run in runs], spec.dynamics)
+    return [
+        SweepRecord(spec.kind, float(point), n, seed, strategy, place and spent, *rest)
+        for (n, point, seed, strategy, _, place), (spent, *rest) in zip(runs, outcomes)
+    ]
 
 
 def run_population(pop: Population, dyn: DynamicsConfig, place: PlacementConfig | None = None) -> dict:
@@ -205,7 +236,8 @@ def dump_trajectories(spec: SweepSpec) -> dict:
 
 
 def write_sweep_csv(records: list[SweepRecord]) -> str:
-    return csv_text([f.name for f in fields(SweepRecord)], map(astuple, records))
+    names = [f.name for f in fields(SweepRecord)]
+    return csv_text(names, map(attrgetter(*names), records))
 
 
 _MEANS_COLUMNS = ("kind", "point", "n", "strategy", "runs", "mean_t_eqm", "mean_c_eqm")

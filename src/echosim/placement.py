@@ -21,8 +21,9 @@ can only anchor injections from t+1.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -216,4 +217,5 @@ def budget_spent(events: list[PlacementEvent]) -> int:
 
 
 def write_events_csv(events: list[PlacementEvent]) -> str:
-    return csv_text([f.name for f in fields(PlacementEvent)], map(astuple, events))
+    names = [f.name for f in fields(PlacementEvent)]
+    return csv_text(names, map(attrgetter(*names), events))

@@ -221,6 +221,33 @@ class TestPlacementCompare:
         for r in run_sweep(self.spec(grid=(0.2,), runs=1, n=30)):
             assert r.budget_spent <= 6
 
+    def test_intelligent_runs_reuse_the_largest_budget_run(self, monkeypatch):
+        # n = 60, seed 0: the largest budget, 6, refuses an offer that
+        # budget 7 takes and spends S = 4.  Budgets 4 and 5 (at and above S)
+        # are that run; budget 3 (below S) runs on its own, and budget 0 is
+        # the plain simulate.
+        spec = self.spec(grid=(0.0, 3 / 60, 4 / 60, 5 / 60, 0.1), runs=1, n=60)
+        base = clipped_normal_mixture(spec.base_mixture)
+        spend = [budget_spent(run_with_placement(base, spec.dynamics, PlacementConfig(b))[1]) for b in (6, 7)]
+        assert spend == [4, 7]
+        calls = []
+        run = harness.run_with_placement
+        monkeypatch.setattr(
+            harness, "run_with_placement", lambda *a: calls.append((a[2].strategy, a[2].budget)) or run(*a)
+        )
+        records = run_sweep(spec)
+        intelligent = [r for r in records if r.strategy is Strategy.INTELLIGENT]
+        assert [r.budget_spent for r in intelligent] == [0, 3, 4, 4, 4]
+        for r in records:
+            pop, place = record_inputs(spec, r)
+            alone, events = run(pop, spec.dynamics, place)
+            t_eqm = alone.t_eqm if alone.converged else spec.dynamics.max_steps
+            assert (r.budget_spent, r.t_eqm, r.converged, r.c_eqm) == (
+                budget_spent(events), t_eqm, alone.converged, alone.c_eqm
+            )
+        assert [b for s, b in calls if s is Strategy.INTELLIGENT] == [0, 6, 3]
+        assert [b for s, b in calls if s is Strategy.RANDOM_AT_START] == [3, 4, 5, 6]
+
 
 class TestCellLoop:
     def test_one_base_mixture_per_size_and_one_call_per_cell(self, monkeypatch):
@@ -273,16 +300,22 @@ def run_key(pop, place):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, runs",
     [
-        eps_spec(grid=[0.05, 0.3], sizes=[10, 20], runs=3),
-        # fraction 0.01 of 32 close agents converts none, as 0 does
-        transform_spec([0.0, 0.01, 0.5, 1.0], n=40, runs=3),
-        placement_spec([0.0, 0.1], sizes=[30, 20], runs=3),
+        pytest.param(eps_spec(grid=[0.05, 0.3], sizes=[10, 20], runs=3), 4, id="epsilon_sweep"),
+        # fraction 0.01 of 32 close agents converts none, as 0 does, in
+        # another cell: the sweep runs that population once
+        pytest.param(transform_spec([0.0, 0.01, 0.5, 1.0], n=40, runs=3), 5, id="transform_sweep"),
+        # at each size the budget-3 (or 2) intelligent run is the budget-6
+        # (or 4) one, which spends less than that
+        pytest.param(placement_spec([0.0, 0.1, 0.2], sizes=[30, 20], runs=3), 16, id="placement_compare"),
     ],
-    ids=lambda spec: spec.kind.value,
 )
-def test_each_distinct_run_of_a_cell_runs_once(monkeypatch, spec):
+def test_each_distinct_run_of_a_cell_runs_once(monkeypatch, spec, runs):
+    # one executor runs each distinct run of the whole sweep once; an
+    # intelligent placement whose budget covers what the sweep's largest
+    # intelligent budget on its population spends is that run, which runs
+    # when the first such placement asks for its spend
     calls = []
     monkeypatch.setattr(harness, "simulate", lambda pop, dyn: calls.append(run_key(pop, None)) or simulate(pop, dyn))
     monkeypatch.setattr(
@@ -291,12 +324,17 @@ def test_each_distinct_run_of_a_cell_runs_once(monkeypatch, spec):
         lambda pop, dyn, place: calls.append(run_key(pop, place)) or run_with_placement(pop, dyn, place),
     )
     records = run_sweep(spec)
-    expected, cells = [], {}
+    expected = []
     for r in records:
         pop, place = record_inputs(spec, r)
-        key, cell = run_key(pop, place), cells.setdefault((r.n, r.point), [])
-        if key not in cell:
-            cell.append(key)
+        key = run_key(pop, place)
+        if place and place.budget and place.strategy is Strategy.INTELLIGENT:
+            top = replace(place, budget=round_half_up(max(spec.grid) * r.n))
+            if run_key(pop, top) not in expected:
+                expected.append(run_key(pop, top))
+            if place.budget >= budget_spent(run_with_placement(pop, spec.dynamics, top)[1]):
+                key = run_key(pop, top)
+        if key not in expected:
             expected.append(key)
         if place is None:
             alone, spent = simulate(pop, spec.dynamics), None
@@ -306,7 +344,7 @@ def test_each_distinct_run_of_a_cell_runs_once(monkeypatch, spec):
         t_eqm = alone.t_eqm if alone.converged else spec.dynamics.max_steps
         assert (r.budget_spent, r.t_eqm, r.converged, r.c_eqm) == (spent, t_eqm, alone.converged, alone.c_eqm)
     assert calls == expected
-    assert len(calls) < len(records)
+    assert len(calls) == runs < len(records)
 
 
 class TestTrajectoryDump:

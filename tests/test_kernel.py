@@ -126,7 +126,8 @@ def dense_windows(x, eps, rows=256):
 
 def plan_of(x, eps, order, lo, hi):
     """Every _Windows field derived from order, lo and hi by its definition,
-    with Python loops over the sort order."""
+    with Python loops over the sort order; run holds each agent's run
+    index in agent order."""
     n = len(x)
     lo_s, hi_s = lo[order].tolist(), hi[order].tolist()
     lo_r, hi_r, run = [], [], []
@@ -136,13 +137,16 @@ def plan_of(x, eps, order, lo, hi):
             hi_r.append(hi_s[k])
         run.append(len(lo_r) - 1)
     lo_r, hi_r = np.array(lo_r, dtype=np.intp), np.array(hi_r, dtype=np.intp)
+    agent_run = np.empty(n, dtype=np.intp)
+    for k, i in enumerate(order.tolist()):
+        agent_run[i] = run[k]
     mask = None
     if n <= _LEAF or len(lo_r) * n <= _BLOCK:
         mask = np.array([[a <= p < b for p in range(n)] for a, b in zip(lo_r.tolist(), hi_r.tolist())])
     e = eps[order]
     up = [order[k] < order[k + 1] for k in range(n - 1)]
     return core._Windows(
-        order, lo, hi, hi - lo, lo_r, hi_r, np.array(run, dtype=np.intp), mask,
+        order, lo, hi, hi - lo, lo_r, hi_r, agent_run, mask,
         np.array([[lo_s, hi_s], [[v + 1 for v in lo_s], [v + 1 for v in hi_s]]], dtype=np.intp),
         np.array([-e, np.nextafter(e, np.inf)]),
         np.array([0.0 if u else np.nextafter(0.0, 1.0) for u in up]),
@@ -546,6 +550,48 @@ def test_block_sum_keeps_signed_zeros(m, count):
     want = [oracles.pairwise_sum(np.where(row, s, 0.0)) for row in mask]
     assert _bits(_window_sums(s, lo, hi, mask)) == _bits(want)
     assert _bits(_window_sums(s, lo, hi)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "m, count",
+    [(1, 5), (7, 40), (_LEAF, 300), (200, _BLOCK // 200), (100, _BLOCK + 3000)],
+    ids=["one_value", "few_values", "leaf", "block_edge", "leaf_past_block_windows"],
+)
+def test_run_length_block_mask_is_the_broadcast_mask(m, count):
+    # bounds below 0 and above m (the recursion passes bounds relative to a
+    # node), empty windows, windows with hi below lo, and on a leaf more
+    # windows than _BLOCK
+    rng = np.random.default_rng(m + count)
+    lo = rng.integers(-m - 2, 2 * m + 3, count)
+    hi = rng.integers(-m - 2, 2 * m + 3, count)
+    hi[::7] = lo[::7]
+    lo[:4], hi[:4] = [-3, 0, m, m + 2], [-1, m, m + 5, m + 2]
+    p = np.arange(m)
+    got = _block_mask(m, lo, hi)
+    assert got.dtype == bool
+    assert np.array_equal(got, (lo[:, None] <= p) & (p < hi[:, None]))
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, 5e-324, 2.5e-310, np.nextafter(1.0, 0.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(min_value=0.0, max_value=1.0)),
+            st.sampled_from(EPS_CHOICES),
+        ),
+        min_size=1,
+        max_size=300,
+    )
+)
+def test_unclipped_hk_step_is_its_own_clip(agents):
+    # HK's step returns sums / sizes unclipped: a pairwise sum of k values
+    # in [0, 1] rounds into [0, k], so the mean already lies in [0, 1]
+    x, eps = (np.array(column) for column in zip(*agents))
+    got = _step_arrays(x, eps)
+    assert _bits(got) == _bits(got.clip(0.0, 1.0))
 
 
 def test_no_layer_builds_an_n_by_n_array():
