@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -98,39 +98,66 @@ def require_member(name: str, value, enum):
         raise ValueError(f"{name} must be one of {[m.value for m in enum]}, got {value!r}") from None
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+# each Population column's dtype, the numpy dtype kinds its values may
+# have, and what those are
+_COLUMNS = {
+    "opinions": (float, "iuf", "numbers"),
+    "epsilons": (float, "iuf", "numbers"),
+    "injected": (bool, "b", "booleans"),
+    "ids": (np.int64, "iu", "int64 integers"),
+}
+
+
+def _column(name: str, values) -> np.ndarray:
+    """A read-only 1-D copy of values as the column name, or an error
+    naming the column and its first value of the wrong kind: such a value
+    is rejected, not cast."""
+    dtype, kinds, what = _COLUMNS[name]
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {a.shape}")
+    # the values are checked one by one where the array's kind is wrong
+    # (a huge int makes it object) or may hide a bool, which numpy reads
+    # as 0 or 1 among numbers
+    items = []
+    if a.dtype.kind not in kinds:
+        items = a.tolist()
+    elif kinds != "b" and not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)):
+        items = values
+    bad = [v for v in map(np.asarray, items) if v.dtype.kind not in kinds]
+    if bad:
+        raise ValueError(f"{name} must be {what}, got {bad[0].tolist()!r}")
+    a = a.astype(dtype)
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """Immutable roster of agents as parallel read-only arrays.
+    """Immutable roster of agents as four parallel read-only columns.
 
     Agent k has opinions[k], epsilons[k], injected[k] and ids[k].  ids
-    must be unique and default to the positions 0..n-1, which is what
-    every generator in this package produces; injected defaults to
-    False.  mindedness holds each agent's Mindedness value, derived from
-    its epsilon and never set directly.
+    must be unique integers and default to the positions 0..n-1, which is
+    what every generator in this package produces; injected holds
+    booleans and defaults to False.  mindedness is each agent's Mindedness
+    value, derived from its epsilon (classify_all) on each access.
     """
 
     opinions: np.ndarray
     epsilons: np.ndarray
     injected: np.ndarray | None = None
     ids: np.ndarray | None = None
-    mindedness: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        x = _frozen(self.opinions, float)
-        if x.ndim != 1 or x.size == 0:
+        x = _column("opinions", self.opinions)
+        if x.size == 0:
             raise ValueError("population must contain at least one agent")
         n = x.size
         columns = {
             "opinions": x,
-            "epsilons": _frozen(self.epsilons, float),
-            "injected": _frozen(np.zeros(n) if self.injected is None else self.injected, bool),
-            "ids": _frozen(np.arange(n) if self.ids is None else self.ids, np.int64),
+            "epsilons": _column("epsilons", self.epsilons),
+            "injected": _column("injected", np.zeros(n, dtype=bool) if self.injected is None else self.injected),
+            "ids": _column("ids", np.arange(n) if self.ids is None else self.ids),
         }
         if any(a.shape != (n,) for a in columns.values()):
             raise ValueError("opinions, epsilons, injected and ids must have equal length")
@@ -140,9 +167,13 @@ class Population:
         s = np.sort(columns["ids"])
         if np.any(s[1:] == s[:-1]):
             raise ValueError("agent ids must be unique")
-        columns["mindedness"] = _frozen(classify_all(columns["epsilons"]), _LABELS.dtype)
+        classify_all(columns["epsilons"])  # rejects a bad epsilon
         for name, value in columns.items():
             object.__setattr__(self, name, value)
+
+    @property
+    def mindedness(self) -> np.ndarray:
+        return classify_all(self.epsilons)
 
     @property
     def n(self) -> int:

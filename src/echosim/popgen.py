@@ -144,13 +144,23 @@ def _flag(cell: str) -> bool:
     return cell == "true"
 
 
+def _digits(parse):
+    # float and int read the digit separator of PEP 515 ("0_1" as 1.0);
+    # a number cell may not hold one
+    def parse_cell(cell: str):
+        if "_" in cell:
+            raise ValueError(cell)
+        return parse(cell)
+    return parse_cell
+
+
 # The columns of write_population_csv's format, each with its cell
 # parser and what a cell must be.  np.int64 parses a cell as int does and
 # raises OverflowError outside int64.
 _CSV_CELLS = {
-    "agent_id": (lambda cell: int(np.int64(cell)), "an integer"),
-    "opinion": (float, "a number"),
-    "epsilon": (float, "a number"),
+    "agent_id": (_digits(lambda cell: int(np.int64(cell))), "an integer"),
+    "opinion": (_digits(float), "a number"),
+    "epsilon": (_digits(float), "a number"),
     "mindedness": (lambda cell: Mindedness(cell).value, "close, moderate or open"),
     "injected": (_flag, "true or false"),
 }

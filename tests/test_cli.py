@@ -744,6 +744,15 @@ class TestExitCodes:
         assert "line 2: mindedness 'open', but epsilon 0.01 is 'close'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_csv_digit_separator_rejected(self, tmp_path, capsys):
+        # float reads "0_1" as 1.0, which is an open epsilon
+        pop_csv = tmp_path / "pop.csv"
+        pop_csv.write_text("agent_id,opinion,epsilon,mindedness,injected\n0,0.5,0_1,open,false\n")
+        path = write_cfg(tmp_path, {"population": {"kind": "csv", "path": str(pop_csv)}})
+        assert run_cli(["gen", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "line 2: epsilon must be a number, got '0_1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_injected_ids_past_int64_rejected(self, tmp_path, capsys):
         # the next id after the largest would wrap to -2**63
         pop_csv = tmp_path / "pop.csv"

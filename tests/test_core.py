@@ -1,5 +1,8 @@
 """Unit and golden tests for the opinion-core module."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,11 @@ from echosim import (
     classify_all,
     clipped_normal_mixture,
     count_clusters,
+    read_population_csv,
     run_with_placement,
     simulate,
+    transform,
+    write_population_csv,
     write_trajectory_csv,
 )
 from echosim import core
@@ -94,8 +100,59 @@ class TestPopulation:
             Population([0.1, 0.2], [0.1, 0.1], ids=[0, 0])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="population must contain at least one agent"):
             Population([], [])
+
+    @pytest.mark.parametrize(
+        "opinions, epsilons, message",
+        [
+            ([[0.1, 0.2]], [[0.1, 0.1]], "opinions must be a 1-D array, got shape (1, 2)"),
+            (0.5, 0.1, "opinions must be a 1-D array, got shape ()"),
+            ([0.1, 0.2], [[0.1, 0.1]], "epsilons must be a 1-D array, got shape (1, 2)"),
+        ],
+    )
+    def test_shape_named(self, opinions, epsilons, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Population(opinions, epsilons)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"ids": [0.5, 1.7]}, "ids must be int64 integers, got 0.5"),
+            ({"ids": [True, False]}, "ids must be int64 integers, got True"),
+            ({"ids": [1, 2**70]}, f"ids must be int64 integers, got {2**70}"),
+            ({"injected": [2, 0]}, "injected must be booleans, got 2"),
+            ({"injected": [True, 1]}, "injected must be booleans, got 1"),
+            ({"opinions": [True, 0.5]}, "opinions must be numbers, got True"),
+            ({"opinions": [0.5, np.True_]}, "opinions must be numbers, got True"),
+            ({"opinions": np.array([True, False])}, "opinions must be numbers, got True"),
+            ({"opinions": ["0.5", "0.6"]}, "opinions must be numbers, got '0.5'"),
+            ({"epsilons": [0.1, True]}, "epsilons must be numbers, got True"),
+            ({"epsilons": ["0.1", "0.2"]}, "epsilons must be numbers, got '0.1'"),
+        ],
+    )
+    def test_column_of_the_wrong_kind_rejected(self, columns, message):
+        # a wrong kind is named, not cast: ids [0.5, 1.7] are not [0, 1]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Population(**{"opinions": [0.3, 0.5], "epsilons": [0.1, 0.2], **columns})
+
+    def test_fields_are_the_four_input_columns(self):
+        assert [f.name for f in dataclasses.fields(Population)] == ["opinions", "epsilons", "injected", "ids"]
+        pop = ten_agent_pop()
+        assert set(vars(pop)) == {"opinions", "epsilons", "injected", "ids"}
+        assert pop.injected.dtype == bool and pop.ids.dtype == np.int64
+
+    def test_mindedness_derived_on_every_roster(self):
+        mixture = clipped_normal_mixture(
+            MixtureSpec(n=60, fractions={Mindedness.CLOSE: 0.5, Mindedness.OPEN: 0.5}, rng_seed=3)
+        )
+        converted = transform(mixture, Mindedness.CLOSE, 0.5)
+        result, events = run_with_placement(mixture, DynamicsConfig(), PlacementConfig(budget=6))
+        assert events and result.agents.injected.any()
+        reread = read_population_csv(write_population_csv(result.agents))
+        for pop in (mixture, converted, result.agents, reread):
+            assert np.array_equal(pop.mindedness, classify_all(pop.epsilons))
+        assert set(converted.mindedness.tolist()) == {"close", "moderate", "open"}
 
     def test_arrays_match_agents(self):
         pop = ten_agent_pop()
@@ -106,10 +163,10 @@ class TestPopulation:
         assert not pop.injected.any()
 
     def test_non_finite_epsilon_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative, got nan"):
             Population.from_arrays([0.5], [float("nan")])
-        with pytest.raises(ValueError):
-            Population.from_arrays([0.5], [-0.1])
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative, got -0.1"):
+            Population.from_arrays([0.5, 0.6], [0.2, -0.1])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -288,6 +288,8 @@ class TestPopulationCsv:
             ("0,0.5,-0.1,close,false", "line 3: epsilon must be finite and nonnegative, got -0.1"),
             ("1,0.5,0.1,close,false", "line 3: agent id 1 repeats line 2"),
             ("99999999999999999999,0.5,0.1,close,false", "line 3: agent_id must fit in int64, got '99999999999999999999'"),
+            ("0,0.5,0_1,open,false", "line 3: epsilon must be a number, got '0_1'"),
+            ("1_0,0.5,0.1,close,false", "line 3: agent_id must be an integer, got '1_0'"),
         ],
     )
     def test_bad_cell_named(self, row, message):
