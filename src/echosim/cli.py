@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import DynamicsConfig, require_int, simulate
+from .core import DynamicsConfig, require_int, require_member, simulate
 from .graph import build_graph_arrays, export_graph
 from .harness import (
     SWEEP_KEYS,
@@ -183,11 +183,9 @@ def _population_from_config(cfg):
 def _run_command(command: str, cfg: dict) -> dict:
     """Build everything from the config and return filename -> text."""
     if command == "sweep":
-        kind, kinds = cfg.get("kind"), [k.value for k in SweepKind]
-        if not isinstance(kind, str) or kind not in kinds:
-            raise ValueError(f"sweep kind must be one of {kinds}, got {kind!r}")
-        needs, takes = SWEEP_KEYS[SweepKind(kind)]
-        _keys(kind, cfg, {"kind", "dynamics", *needs, *takes})
+        kind = require_member("kind", cfg.get("kind"), SweepKind)
+        needs, takes = SWEEP_KEYS[kind]
+        _keys(kind.value, cfg, {"kind", "dynamics", *needs, *takes})
     else:
         allowed = _COMMANDS[command][1]
         _keys(f"{command} config", cfg, allowed)
@@ -225,9 +223,7 @@ def _run_command(command: str, cfg: dict) -> dict:
 def dispatch(args) -> int:
     # all outputs are built before --out is made: a bad config writes nothing
     try:
-        cfg = _loads(_path("--config", args.config).read_text())
-        if not isinstance(cfg, dict):
-            raise ValueError("config must be a JSON object")
+        cfg = _object("config", _loads(_path("--config", args.config).read_text()))
         outputs = _run_command(args.command, _apply_overrides(cfg, args))
         out_dir = _path("--out", args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,7 +235,7 @@ def dispatch(args) -> int:
     except OSError as exc:
         print(f"echosim: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"echosim: invalid config: {exc}", file=sys.stderr)
         return 1
     return 0

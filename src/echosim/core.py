@@ -104,7 +104,7 @@ _COLUMNS = {
     "opinions": (float, "iuf", "numbers"),
     "epsilons": (float, "iuf", "numbers"),
     "injected": (bool, "b", "booleans"),
-    "ids": (np.int64, "iu", "int64 integers"),
+    "ids": (np.int64, "i", "int64 integers"),
 }
 
 
@@ -117,11 +117,12 @@ def _column(name: str, values) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array, got shape {a.shape}")
     # the values are checked one by one where the array's kind is wrong
-    # (a huge int makes it object) or may hide a bool, which numpy reads
-    # as 0 or 1 among numbers
+    # (a huge int makes it object, or float beside a small one) or may
+    # hide a bool, which numpy reads as 0 or 1 among numbers; a list's
+    # own items are checked, as numpy may have cast them
     items = []
     if a.dtype.kind not in kinds:
-        items = a.tolist()
+        items = a.tolist() if isinstance(values, np.ndarray) else values
     elif kinds != "b" and not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)):
         items = values
     bad = [v for v in map(np.asarray, items) if v.dtype.kind not in kinds]
@@ -398,9 +399,9 @@ def _step_arrays(
 
     The neighbourhood sums depend only on the sorted opinions, so a
     permuted population takes the permuted step bit for bit.  HK_MOD
-    takes a scalar or per-agent w_own anywhere in (0, 1] (w_own =
-    1/|N_i| recovers the plain rule); DynamicsConfig restricts the
-    configured value to (0.5, 1] so that own opinion outweighs the rest.
+    takes a scalar or per-agent w_own that its caller keeps in (0, 1]
+    (w_own = 1/|N_i| recovers the plain rule); DynamicsConfig holds the
+    configured value to (0.5, 1], so own opinion outweighs the rest.
     """
     if w is None:
         w = _windows(x, eps)
@@ -413,8 +414,6 @@ def _step_arrays(
         return sums / w.sizes
     if rule is Rule.HK_MOD:
         own = np.asarray(w_own, dtype=float)
-        if np.any(own <= 0.0) or np.any(own > 1.0):
-            raise ValueError("w_own must lie in (0, 1]")
         others = w.sizes - 1
         other_sums = sums - x
         # an agent alone in its interval keeps its opinion unchanged

@@ -184,27 +184,31 @@ def read_population_csv(text: str) -> Population:
     mindedness other than the label its epsilon derives is rejected with
     its line (and column, where there is one)."""
     reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
-    missing = [c for c in _CSV_CELLS if c not in header]
-    if missing:
-        raise ValueError(f"population csv has no {missing[0]} column")
-    for k, c in enumerate(header):
-        if c not in _CSV_CELLS or c in header[:k]:
-            raise ValueError(f"population csv has an unexpected column {c!r}")
-    columns = {c: [] for c in _CSV_CELLS}
-    lines = []
-    for row in reader:
-        line = reader.line_num
-        lines.append(line)
-        if None in row:
-            raise ValueError(f"population csv line {line}: unexpected cell {row[None][0]!r} past the header")
-        for c, (parse, what) in _CSV_CELLS.items():
-            try:
-                columns[c].append(parse(row[c]))
-            except (TypeError, ValueError):
-                raise ValueError(f"population csv line {line}: {c} must be {what}, got {row[c]!r}") from None
-            except OverflowError:
-                raise ValueError(f"population csv line {line}: {c} must fit in int64, got {row[c]!r}") from None
+    try:
+        header = reader.fieldnames or []
+        missing = [c for c in _CSV_CELLS if c not in header]
+        if missing:
+            raise ValueError(f"population csv has no {missing[0]} column")
+        for k, c in enumerate(header):
+            if c not in _CSV_CELLS or c in header[:k]:
+                raise ValueError(f"population csv has an unexpected column {c!r}")
+        columns = {c: [] for c in _CSV_CELLS}
+        lines = []
+        for row in reader:
+            line = reader.line_num
+            lines.append(line)
+            if None in row:
+                raise ValueError(f"population csv line {line}: unexpected cell {row[None][0]!r} past the header")
+            for c, (parse, what) in _CSV_CELLS.items():
+                try:
+                    columns[c].append(parse(row[c]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"population csv line {line}: {c} must be {what}, got {row[c]!r}") from None
+                except OverflowError:
+                    raise ValueError(f"population csv line {line}: {c} must fit in int64, got {row[c]!r}") from None
+    except csv.Error as exc:
+        # line_num counts the lines before the one being read
+        raise ValueError(f"population csv line {reader.line_num + 1}: {exc}") from None
     if not lines:
         raise ValueError("population csv has no rows")
     try:

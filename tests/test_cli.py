@@ -1,7 +1,10 @@
 """End-to-end tests for the command line interface."""
 
+import copy
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -589,6 +592,7 @@ class TestExitCodes:
                 },
                 "transform_from",
             ),
+            ("sweep", {"kind": "bogus", "grid": [0.3], "population_sizes": [10]}, "kind"),
         ],
     )
     def test_enum_key_named(self, tmp_path, capsys, runs, command, cfg, key):
@@ -753,6 +757,41 @@ class TestExitCodes:
         assert "line 2: epsilon must be a number, got '0_1'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_csv_cell_past_the_field_limit_rejected(self, tmp_path, capsys):
+        pop_csv = tmp_path / "pop.csv"
+        pop_csv.write_text(f"agent_id,opinion,epsilon,mindedness,injected\n0,{'5' * 200_000},0.1,close,false\n")
+        path = write_cfg(tmp_path, {"population": {"kind": "csv", "path": str(pop_csv)}})
+        assert run_cli(["gen", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "echosim: invalid config: population csv line 2: field larger than field limit (131072)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_an_object_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, [SPACED3])
+        assert run_cli(["gen", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("echosim: invalid config: config must be a JSON object, got [")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_set_value_that_is_not_json_kept_as_text(self, tmp_path):
+        # evenly_spaced is no JSON value; the override sets it as a string
+        path = write_cfg(tmp_path, {"population": {"n": 3, "epsilon": 0.5}})
+        argv = ["gen", "--config", path, "--set", "population.kind=evenly_spaced", "--out", str(tmp_path), "--quiet"]
+        assert run_cli(argv) == 0
+        assert (tmp_path / "population.csv").read_text().splitlines()[1:] == [
+            "0,0.0,0.5,open,false",
+            "1,0.5,0.5,open,false",
+            "2,1.0,0.5,open,false",
+        ]
+
+    def test_set_path_through_a_non_object_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SPACED3)
+        argv = ["gen", "--config", path, "--set", "population.n.x=1", "--out", str(tmp_path / "out"), "--quiet"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            "echosim: invalid config: --set path 'population.n.x' crosses a non-object entry\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_injected_ids_past_int64_rejected(self, tmp_path, capsys):
         # the next id after the largest would wrap to -2**63
         pop_csv = tmp_path / "pop.csv"
@@ -874,3 +913,81 @@ def test_readme_sweep_key_table_is_harness_table():
         if len(cells) == 3 and cells[0] in kinds:
             rows[cells[0]] = tuple(tuple(key.strip().strip("`") for key in c.split(",")) for c in cells[1:])
     assert rows == {k.value: keys for k, keys in SWEEP_KEYS.items()}
+
+
+# A minimal config of each section README's key table names, as the
+# subcommand that reads it, the config and the path to the section in it.
+ONE_OPEN = {"kind": "mixture", "n": 10, "fractions": {"open": 1.0}, "epsilons": {"close": 0.01, "open": 0.45}}
+TABLE_SECTIONS = {
+    "mixture population": ("gen", {"population": ONE_OPEN}, ["population"]),
+    "population": ("gen", {"population": ONE_OPEN}, ["population"]),
+    "evenly_spaced population": ("gen", SPACED3, ["population"]),
+    "transform": (
+        "gen",
+        {"population": {**ONE_OPEN, "transform": {"from": "open", "fraction": 0.5}}},
+        ["population", "transform"],
+    ),
+    "placement": ("place", {**SPACED3, "placement": {"budget": 0}}, ["placement"]),
+    "graph config": ("graph", SPACED3, []),
+    "dynamics": ("simulate", {**SPACED3, "dynamics": {}}, ["dynamics"]),
+}
+# a sweep key's section is the first sweep kind that reads it
+TABLE_SWEEPS = {
+    SweepKind.EPSILON_SWEEP: {"grid": [0.3], "population_sizes": [10], "runs": 1},
+    SweepKind.TRANSFORM_SWEEP: {
+        "grid": [0.5], "population_sizes": [10], "base_mixture": HALF10, "transform_from": "close", "runs": 1,
+    },
+    SweepKind.PLACEMENT_COMPARE: {"grid": [0.1], "population_sizes": [10], "base_mixture": HALF10, "runs": 1},
+    SweepKind.TRAJECTORY_DUMP: {"base_mixture": HALF10},
+}
+
+
+def _table_section(section, key):
+    if section != "sweep":
+        return TABLE_SECTIONS[section]
+    kind = next(k for k, (needs, takes) in SWEEP_KEYS.items() if key in needs + takes)
+    return "sweep", {"kind": kind.value, **TABLE_SWEEPS[kind]}, []
+
+
+def _run_with_key(tmp_path, capsys, section, key, value):
+    """Exit code and stderr of the section's minimal config with key set
+    to value; for "each of" a list key, the list [value], and for a
+    class map, value as its close entry (the class whose band holds 0)."""
+    command, cfg, path = _table_section(section, key.removeprefix("each of "))
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for part in path:
+        node = node[part]
+    if key.startswith("each of "):
+        key = key.removeprefix("each of ")
+        value = [value] if isinstance(node[key], list) else {**node[key], "close": value}
+    node[key] = value
+    code = run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    return code, capsys.readouterr().err
+
+
+def test_readme_key_table_bounds_hold(tmp_path, capsys):
+    # each "| key | section | range |" row: the first bound it states is
+    # accepted and the nearest value past it is rejected, naming the key;
+    # every key is known to each section the row names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | section | range |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
+    rows = [[cell.strip().replace("`", "") for cell in line.strip("|").split("|")] for line in table.splitlines()]
+    assert len(rows) >= 15
+    for key, sections, rng in rows:
+        name = key.removeprefix("each of ")
+        bound = re.match(r"(integer, )?(?:at least )?(\d+)\b", rng)
+        for section in sections.split(", "):
+            where = f"{key} in {section}"
+            code, err = _run_with_key(tmp_path, capsys, section, key, "x")
+            assert code == 1 and name in err and "unknown" not in err, (where, err)
+            if bound is None:
+                continue
+            least = int(bound[2]) if bound[1] else float(bound[2])
+            past = least - 1 if bound[1] else math.nextafter(least, -math.inf)
+            assert _run_with_key(tmp_path, capsys, section, key, least) == (0, ""), where
+            code, err = _run_with_key(tmp_path, capsys, section, key, past)
+            assert code == 1 and name in err, (where, past, err)
+            if "2⁶³ − 1" in rng:
+                code, err = _run_with_key(tmp_path, capsys, section, key, 2**63)
+                assert code == 1 and f"{name} must be at most {2**63 - 1}" in err, (where, err)

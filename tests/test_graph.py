@@ -108,6 +108,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_graph_arrays(x, eps)
 
+    def test_out_neighbors_lists_every_vertex(self):
+        g = build_graph_arrays(TEN, [0.25, 0.0, 0.1, 0.3, 0.05, 0.2, 0.0, 0.45, 0.1, 0.15])
+        got = g.out_neighbors
+        assert len(got) == g.n
+        assert all(np.array_equal(a, g.neighbors(i)) for i, a in enumerate(got))
+
     def test_in_degrees(self):
         g = tri_graph()
         assert list(in_degrees(g)) == [3, 3, 1]  # self-loops counted

@@ -164,6 +164,11 @@ class TestMixture:
         assert np.all(pop.epsilons == 0.18)
         assert np.all(pop.mindedness == M.MODERATE)
 
+    @pytest.mark.parametrize("sd", [0.0, -0.1])
+    def test_sd_must_be_positive(self, sd):
+        with pytest.raises(ValueError, match="sd must be positive"):
+            MixtureSpec(n=10, fractions={M.OPEN: 1.0}, sd=sd)
+
     def test_missing_epsilon_rejected(self):
         with pytest.raises(ValueError):
             MixtureSpec(n=10, fractions={M.CLOSE: 1.0}, epsilons={M.OPEN: 0.45})
@@ -290,11 +295,20 @@ class TestPopulationCsv:
             ("99999999999999999999,0.5,0.1,close,false", "line 3: agent_id must fit in int64, got '99999999999999999999'"),
             ("0,0.5,0_1,open,false", "line 3: epsilon must be a number, got '0_1'"),
             ("1_0,0.5,0.1,close,false", "line 3: agent_id must be an integer, got '1_0'"),
+            # the csv module raises before it counts the line it was reading
+            pytest.param(
+                f"0,{'5' * 200_000},0.1,close,false", "line 3: field larger than field limit (131072)", id="long cell"
+            ),
         ],
     )
     def test_bad_cell_named(self, row, message):
         text = f"agent_id,opinion,epsilon,mindedness,injected\n1,0.2,0.1,close,false\n{row}\n"
         with pytest.raises(ValueError, match=re.escape(message)):
+            read_population_csv(text)
+
+    def test_header_past_the_csv_field_limit_named(self):
+        text = f"agent_id,opinion,epsilon,mindedness,injected{'x' * 200_000}\n0,0.5,0.1,close,false\n"
+        with pytest.raises(ValueError, match=re.escape("population csv line 1: field larger than field limit")):
             read_population_csv(text)
 
     @pytest.mark.parametrize(
