@@ -223,19 +223,17 @@ _TIE = np.nextafter(0.0, 1.0)
 class _Windows(NamedTuple):
     """A profile's sorted windows and their step plan.  order is the stable
     opinion sort order; agent i listens to sorted positions [lo[i], hi[i]).
-    The plan: each agent's window size; the runs of equal windows in the
-    sort order (such as a merged cluster that shares one epsilon) as their
-    bounds, each agent's run index (in agent order, so the step gathers
-    its sums with one take) and the runs' block mask (_block_mask); then
-    _windows_slack's pieces, in the sort order: the window edges it tests,
-    [c, c + 1] for _settle's edges c, the bounds c was settled on, each
-    adjacent pair's tie threshold, and which adjacent pairs share a window
-    with the lower index first."""
+    The plan: the runs of equal windows in the sort order (such as a
+    merged cluster that shares one epsilon) as their bounds, each agent's
+    run index (in agent order, so the step spreads its run values with
+    one take) and the runs' block mask (_block_mask); then _windows_slack's
+    pieces, in the sort order: _settle's window edges c, shape (2, n), the
+    bounds c was settled on, each adjacent pair's tie threshold, and
+    which adjacent pairs share a window with the lower index first."""
 
     order: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    sizes: np.ndarray
     lo_r: np.ndarray
     hi_r: np.ndarray
     run: np.ndarray
@@ -272,9 +270,8 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> _Windows:
     lo[order], hi[order], run[order] = lo_s, hi_s, np.cumsum(first) - 1
     up = order[:-1] < order[1:]
     return _Windows(
-        order, lo, hi,
-        hi - lo, lo_r, hi_r, run, _block_mask(len(s), lo_r, hi_r),
-        np.array([c, c + 1]), b, np.where(up, 0.0, _TIE), up & ~first[1:],
+        order, lo, hi, lo_r, hi_r, run, _block_mask(len(s), lo_r, hi_r),
+        c, b, np.where(up, 0.0, _TIE), up & ~first[1:],
     )
 
 
@@ -290,14 +287,15 @@ def _windows_slack(x: np.ndarray, w: _Windows) -> float:
     it comes second (argsort(kind="stable") exactly).  A gap of two tied
     agents with one window is left out of the slack: they take the same
     sum over the same count, and in simulate the same w_own, so they stay
-    tied while the windows hold.  Every bound c is still
+    tied while the windows hold.  Every edge c (w.edges) is still
     _settle's fixed point when the test fl(padded[c] - x_i) < bound_i
     holds (margin bound_i - (padded[c] - x_i) > 0) and the test at
-    padded[c + 1] fails (margin (padded[c + 1] - x_i) - bound_i >= 0);
-    the test is monotone in the sorted opinion, so that fixed point is
-    the only one.  Moving two opinions by at most m each moves a gap or
-    a difference padded[c] - x_i by at most 2m, so every test keeps its
-    outcome while 2m, padded for rounding, stays below the slack."""
+    padded[c + 1], read as padded[1:].take(c), fails (margin
+    (padded[c + 1] - x_i) - bound_i >= 0); the test is monotone in the
+    sorted opinion, so that fixed point is the only one.  Moving two
+    opinions by at most m each moves a gap or a difference
+    padded[c] - x_i by at most 2m, so every test keeps its outcome while
+    2m, padded for rounding, stays below the slack."""
     s = x[w.order]
     gap = s[1:] - s[:-1]
     gap -= w.ties
@@ -306,11 +304,8 @@ def _windows_slack(x: np.ndarray, w: _Windows) -> float:
     if least < 0.0:
         return -1.0
     padded = np.concatenate([[-np.inf], s, [np.inf]])
-    margin = padded.take(w.edges)
-    margin -= s
-    np.subtract(w.bounds, margin[0], out=margin[0])
-    margin[1] -= w.bounds
-    inside, outside = margin[0].min(), margin[1].min()
+    inside = (w.bounds - (padded.take(w.edges) - s)).min()
+    outside = (padded[1:].take(w.edges) - s - w.bounds).min()
     if inside <= 0.0 or outside < 0.0:
         return -1.0
     return float(min(least, inside, outside))
@@ -406,16 +401,16 @@ def _step_arrays(
     if w is None:
         w = _windows(x, eps)
     # a run of equal windows takes its sum once
-    sums = _window_sums(x[w.order], w.lo_r, w.hi_r, w.mask).take(w.run)
+    sums = _window_sums(x[w.order], w.lo_r, w.hi_r, w.mask)
     if rule is Rule.HK:
         # no clip: rounding is monotone, so the pairwise sum of k values in
         # [0, 1] (zeros outside the window) lies in [0, k], and so does
         # the mean in [0, 1]
-        return sums / w.sizes
+        return (sums / (w.hi_r - w.lo_r)).take(w.run)
     if rule is Rule.HK_MOD:
         own = np.asarray(w_own, dtype=float)
-        others = w.sizes - 1
-        other_sums = sums - x
+        others = w.hi - w.lo - 1
+        other_sums = sums.take(w.run) - x
         # an agent alone in its interval keeps its opinion unchanged
         mean_others = np.where(others > 0, other_sums / np.maximum(others, 1), x)
         return (own * x + (1.0 - own) * mean_others).clip(0.0, 1.0)

@@ -171,11 +171,9 @@ def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool)
     Vertices that share a window (lo, hi) share its sorted target names,
     so each distinct window is sorted and named once (one sort of the
     window keys brings its vertices together) and only one window's
-    names are alive at a time.  Without self-loops a vertex cuts its own
-    name out at its text offset: the widths of the names before it plus
-    one separator per name."""
+    names are alive at a time.  Without self-loops a vertex pops its own
+    name from that shared list for its one join and then puts it back."""
     names = np.array([str(j) for j in range(g.n)], dtype=object)
-    widths = np.array(list(map(len, names)))
     sources = np.flatnonzero(out_degrees(g) > (0 if loops else 1))
     lo, hi = g.lo[sources], g.hi[sources]
     by_window = np.argsort(lo * (g.n + 1) + hi)
@@ -186,18 +184,13 @@ def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool)
             window = a, b
             targets = np.sort(g.order[a:b])
             target_names = names[targets].tolist()
-            ends = np.cumsum(widths[targets])
         first = head.format(i)
-        sep = f"{tail}{join}{first}"
-        text = sep.join(target_names)
-        start = stop = 0  # with self-loops nothing is cut
         if not loops:
             k = int(targets.searchsorted(i))
-            w = len(names[i])
-            at = int(ends[k]) - w + k * len(sep)  # where name i starts
-            # cut name i with the separator after it, or (k > 0) the one before it
-            start, stop = (0, w + len(sep)) if k == 0 else (at - len(sep), at + w)
-        lines[slot] = f"{first}{text[:start]}{text[stop:]}{tail}"
+            own = target_names.pop(k)
+        lines[slot] = f"{first}{f'{tail}{join}{first}'.join(target_names)}{tail}"
+        if not loops:
+            target_names.insert(k, own)
     return lines
 
 

@@ -103,6 +103,8 @@ def find_converging_pairs(g: InfluenceGraph) -> list[tuple[int, int]]:
     # successor is open and not a twin (equal opinion and epsilon give
     # equal pulls), then the successors of those net-pulled right
     k = np.flatnonzero(open_[a] & open_[b] & ((x[a] != x[b]) | (eps[a] != eps[b])))
+    if k.size == 0:
+        return []
     left, right = _pulls(g, a[k])
     k = k[left < right]
     left, right = _pulls(g, b[k])

@@ -47,6 +47,13 @@ def _dot_rosters():
         # every vertex shares the one window: its own name is first,
         # in the middle or last
         "one shared window": (spaced, [1.0] * 105),
+        # 3, 7 and 12 share the window {3, 5, 7, 10, 12} beside other
+        # windows: their own names, 1 and 2 digits wide, come first, in the
+        # middle and last of its shared name list
+        "a shared window among others": (
+            [0.9, 0.55, 0.75, 0.22, 0.6, 0.23, 0.86, 0.24, 0.65, 0.7, 0.21, 0.5, 0.2, 0.8],
+            [0.05, 0.3, 0.0, 0.1, 0.05, 0.0, 0.3, 0.1, 0.0, 0.05, 0.7, 0.05, 0.1, 0.27],
+        ),
         # eps 0 leaves a vertex with only its self-loop, and no edge line
         "eps 0 skips": (spaced, [0.0, 0.0, 0.01, 0.0, 0.2] * 21),
         "runs of ties": (ties, rng.choice([0.0, 0.125, 0.3, 1.0], 60).tolist()),

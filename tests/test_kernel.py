@@ -146,8 +146,8 @@ def plan_of(x, eps, order, lo, hi):
     e = eps[order]
     up = [order[k] < order[k + 1] for k in range(n - 1)]
     return core._Windows(
-        order, lo, hi, hi - lo, lo_r, hi_r, agent_run, mask,
-        np.array([[lo_s, hi_s], [[v + 1 for v in lo_s], [v + 1 for v in hi_s]]], dtype=np.intp),
+        order, lo, hi, lo_r, hi_r, agent_run, mask,
+        np.array([lo_s, hi_s], dtype=np.intp),
         np.array([-e, np.nextafter(e, np.inf)]),
         np.array([0.0 if u else np.nextafter(0.0, 1.0) for u in up]),
         np.array([u and run[k + 1] == run[k] for k, u in enumerate(up)], dtype=bool),

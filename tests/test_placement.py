@@ -23,7 +23,7 @@ from echosim import (
     simulate,
     write_events_csv,
 )
-from echosim import core, graph
+from echosim import core, graph, placement
 from echosim.graph import build_graph_arrays
 from test_core import window_builds
 
@@ -43,9 +43,11 @@ class TestFindConvergingPairs:
         g = graph_of([0.2, 0.45, 0.55, 0.8], [0.45] * 4)
         assert find_converging_pairs(g) == [(1, 2)]
 
-    def test_non_open_agents_never_qualify(self):
-        g = graph_of([0.3, 0.7], [0.2, 0.2])
-        assert find_converging_pairs(g) == []
+    def test_non_open_agents_never_qualify(self, monkeypatch):
+        # with no adjacent open pair the scan asks for no pulls at all
+        monkeypatch.setattr(placement, "_pulls", lambda g, rows: pytest.fail("pulls asked for"))
+        for x, eps in ([0.3, 0.7], [0.2, 0.2]), ([0.3, 0.7], [0.45, 0.2]), ([0.5], [0.45]):
+            assert find_converging_pairs(graph_of(x, eps)) == []
 
     def test_close_agent_between_breaks_adjacency(self):
         # a close agent parked between two opens makes them non-adjacent
