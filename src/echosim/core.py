@@ -222,18 +222,17 @@ _TIE = np.nextafter(0.0, 1.0)
 
 class _Windows(NamedTuple):
     """A profile's sorted windows and their step plan.  order is the stable
-    opinion sort order; agent i listens to sorted positions [lo[i], hi[i]).
-    The plan: the runs of equal windows in the sort order (such as a
-    merged cluster that shares one epsilon) as their bounds, each agent's
-    run index (in agent order, so the step spreads its run values with
-    one take) and the runs' block mask (_block_mask); then _windows_slack's
-    pieces, in the sort order: _settle's window edges c, shape (2, n), the
-    bounds c was settled on, each adjacent pair's tie threshold, and
-    which adjacent pairs share a window with the lower index first."""
+    opinion sort order.  The runs of equal windows in the sort order (such
+    as a merged cluster that shares one epsilon) keep their bounds lo_r,
+    hi_r, and run holds each agent's run index in agent order, so agent i
+    listens to sorted positions [lo_r[run[i]], hi_r[run[i]]) and the step
+    spreads its run values with one take.  Then the runs' block mask
+    (_block_mask) and _windows_slack's pieces, in the sort order: _settle's
+    window edges c, shape (2, n), the bounds c was settled on, each
+    adjacent pair's tie threshold, and which adjacent pairs share a window
+    with the lower index first."""
 
     order: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     lo_r: np.ndarray
     hi_r: np.ndarray
     run: np.ndarray
@@ -255,8 +254,8 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> _Windows:
     < the next float above eps_i) are prefixes of the sort order.  In that
     order, searchsorted guesses both prefix lengths of every agent and
     _settle corrects them on the predicate itself, so ties and rounding
-    fall where the dense predicate puts them; one scatter gives lo, hi
-    and each agent's run."""
+    fall where the dense predicate puts them; one scatter gives each
+    agent's run."""
     order = np.argsort(x, kind="stable")
     s = x[order]
     e = eps[order]
@@ -266,11 +265,11 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> _Windows:
     first = np.ones(len(s), dtype=bool)
     first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
     lo_r, hi_r = lo_s[first], hi_s[first]
-    lo, hi, run = np.empty((3, len(s)), dtype=c.dtype)
-    lo[order], hi[order], run[order] = lo_s, hi_s, np.cumsum(first) - 1
+    run = np.empty(len(s), dtype=c.dtype)
+    run[order] = np.cumsum(first) - 1
     up = order[:-1] < order[1:]
     return _Windows(
-        order, lo, hi, lo_r, hi_r, run, _block_mask(len(s), lo_r, hi_r),
+        order, lo_r, hi_r, run, _block_mask(len(s), lo_r, hi_r),
         c, b, np.where(up, 0.0, _TIE), up & ~first[1:],
     )
 
@@ -409,7 +408,7 @@ def _step_arrays(
         return (sums / (w.hi_r - w.lo_r)).take(w.run)
     if rule is Rule.HK_MOD:
         own = np.asarray(w_own, dtype=float)
-        others = w.hi - w.lo - 1
+        others = (w.hi_r - w.lo_r).take(w.run) - 1
         other_sums = sums.take(w.run) - x
         # an agent alone in its interval keeps its opinion unchanged
         mean_others = np.where(others > 0, other_sums / np.maximum(others, 1), x)
@@ -485,12 +484,12 @@ def simulate(
     _step_arrays(x, eps, rule, w_own) calls.
 
     intervene(t, x, eps, windows), when given, is called before each step
-    with the current profile, epsilons and windows record (order, lo and hi
-    name the sorted windows), which the step's update then reuses.  It
-    returns None, or the opinions and epsilons of agents to inject: they
-    are appended to the roster and to the profile at t (rebuilding the
-    record), take part in step t, and keep the run from counting step t
-    as quiet.
+    with the current profile, epsilons and windows record (agent i's window
+    is sorted positions [lo_r[run[i]], hi_r[run[i]]) of order), which the
+    step's update then reuses.  It returns None, or the opinions and
+    epsilons of agents to inject: they are appended to the roster and to
+    the profile at t (rebuilding the record), take part in step t, and
+    keep the run from counting step t as quiet.
     """
     cfg = cfg or DynamicsConfig()
     roster = pop

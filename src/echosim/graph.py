@@ -10,7 +10,7 @@ drive both the cluster arguments and the placement scan.
 
 Sorted by opinion, every agent's out-neighbours form one contiguous
 window of the sort order, so a graph is held as that order plus two
-window bounds per agent, the order, lo and hi of core._windows's record
+window bounds per agent, gathered from the runs of core._windows's record
 (in a run, simulate hands each step's record to both the update and the
 placement scan's graph, and keeps the last step's while its windows
 still hold): no edge list and no n x n mask.  Building is O(n log n),
@@ -72,7 +72,7 @@ def build_graph_arrays(x, eps, t: int = 0) -> InfluenceGraph:
     Population(x, eps), from the update step's sorted windows (core._windows)."""
     pop = Population(x, eps)
     w = _windows(pop.opinions, pop.epsilons)
-    return InfluenceGraph(pop.opinions, pop.epsilons, w.order, w.lo, w.hi, t)
+    return InfluenceGraph(pop.opinions, pop.epsilons, w.order, w.lo_r.take(w.run), w.hi_r.take(w.run), t)
 
 
 def out_degrees(g: InfluenceGraph) -> np.ndarray:

@@ -192,12 +192,12 @@ def run_with_placement(
     events: list[PlacementEvent] = []
     budget = place.budget
 
-    def intervene(t, x, eps, windows):
+    def intervene(t, x, eps, w):
         nonlocal budget
         if budget == 0:
             return None
         batches = []
-        for ev in offers(InfluenceGraph(x, eps, windows.order, windows.lo, windows.hi, t)):
+        for ev in offers(InfluenceGraph(x, eps, w.order, w.lo_r.take(w.run), w.hi_r.take(w.run), t)):
             if budget < ev.count:
                 break
             batches.append(ev)

@@ -29,7 +29,7 @@ from echosim import (
     run_with_placement,
     simulate,
 )
-from echosim import core
+from echosim import core, placement
 from echosim.core import (
     _BLOCK,
     _LEAF,
@@ -100,9 +100,10 @@ def instances(seed, count=60, n_max=700):
 def test_windows_match_dense_predicate():
     for x, eps in instances(0):
         mask = np.abs(x[None, :] - x[:, None]) <= eps[:, None]
-        order, lo, hi = _windows(x, eps)[:3]
+        w = _windows(x, eps)
         for i in range(len(x)):
-            assert np.array_equal(np.sort(order[lo[i] : hi[i]]), np.flatnonzero(mask[i]))
+            r = w.run[i]
+            assert np.array_equal(np.sort(w.order[w.lo_r[r] : w.hi_r[r]]), np.flatnonzero(mask[i]))
 
 
 def dense_windows(x, eps, rows=256):
@@ -146,7 +147,7 @@ def plan_of(x, eps, order, lo, hi):
     e = eps[order]
     up = [order[k] < order[k + 1] for k in range(n - 1)]
     return core._Windows(
-        order, lo, hi, lo_r, hi_r, agent_run, mask,
+        order, lo_r, hi_r, agent_run, mask,
         np.array([lo_s, hi_s], dtype=np.intp),
         np.array([-e, np.nextafter(e, np.inf)]),
         np.array([0.0 if u else np.nextafter(0.0, 1.0) for u in up]),
@@ -191,7 +192,8 @@ def test_large_windows_match_an_independent_construction():
             rows = [oracles.neighbors(x.tolist(), eps.tolist(), i) for i in range(3)]
             assert 1 in rows[0] and 2 not in rows[0]
             for i, row in enumerate(rows):
-                assert sorted(got.order[got.lo[i] : got.hi[i]].tolist()) == row
+                r = got.run[i]
+                assert sorted(got.order[got.lo_r[r] : got.hi_r[r]].tolist()) == row
     assert masks == 1
 
 
@@ -418,7 +420,7 @@ def test_injection_on_a_step_that_keeps_its_windows(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 2])
-def test_placement_run_is_a_loop_of_fresh_graphs_and_steps(seed):
+def test_placement_run_is_a_loop_of_fresh_graphs_and_steps(monkeypatch, seed):
     # n = 4096 sums through the window-sum recursion.  Of rng_seed 0, 1 and
     # 2 on this mixture, 0 spends budget at t = 1 and 2 at t = 0; 1 spends
     # none, so it would compare plain runs only
@@ -441,7 +443,17 @@ def test_placement_run_is_a_loop_of_fresh_graphs_and_steps(seed):
             return np.repeat([ev.opinion for ev in batches], [ev.count for ev in batches]), place.epsilon_new
 
     want, want_t = fresh_run(pop, dyn, inject)
+    scan, graphs = placement.find_converging_pairs, []
+    monkeypatch.setattr(placement, "find_converging_pairs", lambda g: graphs.append(g) or scan(g))
     got, events = run_with_placement(pop, dyn, place)
+    # the scan's graph, gathered from a kept or fresh windows record, is
+    # the fresh graph of its profile
+    assert graphs
+    for g in graphs:
+        fresh = build_graph_arrays(g.opinions, g.epsilons, g.timestamp)
+        for name in ("order", "lo", "hi"):
+            a, b = getattr(g, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g.timestamp, name)
     # the roster's ids are its indices, so the log's anchor ids are the
     # graph indices the reference logs
     assert got.agents.ids.tolist() == list(range(got.agents.n))
