@@ -199,15 +199,23 @@ class Population:
         )
 
 
+def _edge_margins(padded: np.ndarray, s: np.ndarray, c: np.ndarray, b: np.ndarray):
+    """The one window-edge test, as the two margins of each edge c over
+    sorted opinions s (padded[c] = s[c - 1], and -inf and inf at the ends):
+    inside > 0 where fl(padded[c] - s) < b, outside < 0 where that holds at
+    c + 1.  A float difference's sign is exact, so a sign is a comparison."""
+    return b - (padded.take(c) - s), padded[1:].take(c) - s - b
+
+
 def _settle(s: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Move each guess c[r, k] to the length of the prefix of sorted
-    opinions s on which fl(s_p - s[k]) < b[r, k]: a test monotone in s_p
-    (true, then false, and true at -inf) and of the value only, so a whole
-    run of tied opinions holds or fails together and each move jumps it."""
-    padded = np.concatenate([[-np.inf], s, [np.inf]])  # padded[c] = s[c - 1]
+    opinions s on which the edge test (_edge_margins) holds, a test of the
+    value only and monotone in it (true at -inf), so a run of tied
+    opinions holds or fails together and each move jumps it."""
+    padded = np.concatenate([[-np.inf], s, [np.inf]])
     while True:
-        back = ~(padded[c] - s < b)
-        fwd = padded[c + 1] - s < b
+        inside, outside = _edge_margins(padded, s, c, b)
+        back, fwd = inside <= 0.0, outside < 0.0
         if not (back | fwd).any():
             return c
         c = np.where(back, np.searchsorted(s, padded[c], "left"), c)
@@ -248,17 +256,17 @@ def _windows(x: np.ndarray, eps: np.ndarray) -> _Windows:
     windows and their step plan (_Windows), a pure function of the opinions
     and epsilons, so a run keeps it while its windows hold.
 
-    The bounds hold the exact predicate |x_j - x_i| <= eps_i.  fl(s - x_i)
-    is monotone in the sorted opinion s, so the agents below the window
-    (s - x_i < -eps_i) and those up to its end (s - x_i <= eps_i, that is
-    < the next float above eps_i) are prefixes of the sort order.  In that
-    order, searchsorted guesses both prefix lengths of every agent and
-    _settle corrects them on the predicate itself, so ties and rounding
+    The bounds hold the exact predicate |x_j - x_i| <= eps_i: the agents
+    below i's window, and those up to its end, are the prefixes of the sort
+    order on which the edge test (_edge_margins) holds with bound -eps_i,
+    and with the next float above eps_i.  searchsorted guesses both prefix
+    lengths and _settle corrects them on that test, so ties and rounding
     fall where the dense predicate puts them; one scatter gives each
-    agent's run."""
+    agent's run.  eps is clamped at 2.0: each fl(x_j - x_i) lies in
+    [-1, 1], so no window changes, and bounds and margins stay finite."""
     order = np.argsort(x, kind="stable")
     s = x[order]
-    e = eps[order]
+    e = np.minimum(eps[order], 2.0)
     b = np.array([-e, np.nextafter(e, np.inf)])
     c = _settle(s, np.searchsorted(s, s + b), b)
     lo_s, hi_s = c
@@ -286,15 +294,11 @@ def _windows_slack(x: np.ndarray, w: _Windows) -> float:
     it comes second (argsort(kind="stable") exactly).  A gap of two tied
     agents with one window is left out of the slack: they take the same
     sum over the same count, and in simulate the same w_own, so they stay
-    tied while the windows hold.  Every edge c (w.edges) is still
-    _settle's fixed point when the test fl(padded[c] - x_i) < bound_i
-    holds (margin bound_i - (padded[c] - x_i) > 0) and the test at
-    padded[c + 1], read as padded[1:].take(c), fails (margin
-    (padded[c + 1] - x_i) - bound_i >= 0); the test is monotone in the
-    sorted opinion, so that fixed point is the only one.  Moving two
-    opinions by at most m each moves a gap or a difference
-    padded[c] - x_i by at most 2m, so every test keeps its outcome while
-    2m, padded for rounding, stays below the slack."""
+    tied while the windows hold.  Each edge c (w.edges) is still _settle's
+    only fixed point when the margins _settle reads (_edge_margins) have
+    inside > 0 and outside >= 0.  Moving two opinions by at most m each
+    moves a gap or a margin by at most 2m, so every test keeps its outcome
+    while 2m, padded for rounding, stays below the slack."""
     s = x[w.order]
     gap = s[1:] - s[:-1]
     gap -= w.ties
@@ -303,8 +307,7 @@ def _windows_slack(x: np.ndarray, w: _Windows) -> float:
     if least < 0.0:
         return -1.0
     padded = np.concatenate([[-np.inf], s, [np.inf]])
-    inside = (w.bounds - (padded.take(w.edges) - s)).min()
-    outside = (padded[1:].take(w.edges) - s - w.bounds).min()
+    inside, outside = (m.min() for m in _edge_margins(padded, s, w.edges, w.bounds))
     if inside <= 0.0 or outside < 0.0:
         return -1.0
     return float(min(least, inside, outside))
@@ -470,26 +473,25 @@ def simulate(
     Each step's windows record (_Windows: the sorted windows and their step
     plan) is the last step's while its windows still hold; otherwise the
     step builds a new one with _windows.  So a run whose neighbourhood
-    structure has settled while its opinions still creep sorts, searches
-    and plans nothing.  Whether they hold is checked against the new
-    profile by _windows_slack, which also returns their slack.  moved adds up each step's max move
-    (the quiet test's) plus 1e-15, more than the rounding of that max and
-    of the sum, so it bounds how far any opinion has moved since the
-    check.  While 2 * moved + 1e-12 (the rounding of the margins) stays
-    below the slack, no test can have changed its outcome, and the step
-    keeps its windows without checking.  A check resets moved; a step
-    that builds windows, for a failed check or an injection, leaves the
-    next step to check them.  Kept windows are exactly _windows(x, eps),
-    so the trajectory is the same bit for bit as a loop of fresh
+    structure has settled while its opinions still creep sorts, searches and
+    plans nothing.  Whether they hold is checked against the new profile by
+    _windows_slack, which also returns their slack.  moved adds up each
+    step's max move (the quiet test's) plus 1e-15, more than the rounding of
+    that max and of the sum, so it bounds how far any opinion has moved
+    since the check.  While 2 * moved + 1e-12 (the rounding of the margins)
+    stays below the slack, no test can have changed its outcome, and the
+    step keeps its windows without checking.  A check resets moved; a step
+    that builds windows, for a failed check or an injection, leaves the next
+    step to check them.  Kept windows are exactly _windows(x, eps), so the
+    trajectory is the same bit for bit as a loop of fresh
     _step_arrays(x, eps, rule, w_own) calls.
 
     intervene(t, x, eps, windows), when given, is called before each step
-    with the current profile, epsilons and windows record (agent i's window
-    is sorted positions [lo_r[run[i]], hi_r[run[i]]) of order), which the
-    step's update then reuses.  It returns None, or the opinions and
-    epsilons of agents to inject: they are appended to the roster and to
-    the profile at t (rebuilding the record), take part in step t, and
-    keep the run from counting step t as quiet.
+    with the current profile, epsilons and windows record, which the step's
+    update then reuses (graph._graph makes it the step's graph).  It returns
+    None, or the opinions and epsilons of agents to inject: they join the
+    roster and the profile at t (rebuilding the record), take part in step
+    t, and keep the run from counting step t as quiet.
     """
     cfg = cfg or DynamicsConfig()
     roster = pop

@@ -10,17 +10,16 @@ drive both the cluster arguments and the placement scan.
 
 Sorted by opinion, every agent's out-neighbours form one contiguous
 window of the sort order, so a graph is held as that order plus two
-window bounds per agent, gathered from the runs of core._windows's record
-(in a run, simulate hands each step's record to both the update and the
-placement scan's graph, and keeps the last step's while its windows
-still hold): no edge list and no n x n mask.  Building is O(n log n),
-degrees and pendant in-vertices O(n), SCCs O(n log^2 n) at worst, pulls
-O(n log n) at worst; DOT and JSON export share one edge writer that
-sorts and names each distinct window once, and past that is linear in
-the edge count.  Pulls come from the update step's window sums
-(core._window_sums), so every pull is one fixed function of the sorted
-opinions, the placement scan's exact comparisons hold, and there is no
-agent limit.
+window bounds per agent: no edge list and no n x n mask.  _graph is the
+one place where a windows record (core._windows) becomes a graph, for
+build_graph_arrays and for the placement scan on each step of a run.
+Building is O(n log n), degrees and pendant in-vertices O(n), SCCs
+O(n log^2 n) at worst, pulls O(n log n) at worst; DOT and JSON export
+share one edge writer that sorts and names each distinct window once,
+and past that is linear in the edge count.  Pulls come from the update
+step's window sums (core._window_sums), so every pull is one fixed
+function of the sorted opinions, the placement scan's exact comparisons
+hold, and there is no agent limit.
 """
 
 from __future__ import annotations
@@ -67,12 +66,15 @@ def build_graph(pop: Population, t: int = 0) -> InfluenceGraph:
     return build_graph_arrays(pop.opinions, pop.epsilons, t)
 
 
+def _graph(x, eps, w, t: int) -> InfluenceGraph:
+    return InfluenceGraph(x, eps, w.order, w.lo_r.take(w.run), w.hi_r.take(w.run), t)
+
+
 def build_graph_arrays(x, eps, t: int = 0) -> InfluenceGraph:
     """The graph on the exact predicate |x_j - x_i| <= eps_i of the roster
     Population(x, eps), from the update step's sorted windows (core._windows)."""
     pop = Population(x, eps)
-    w = _windows(pop.opinions, pop.epsilons)
-    return InfluenceGraph(pop.opinions, pop.epsilons, w.order, w.lo_r.take(w.run), w.hi_r.take(w.run), t)
+    return _graph(pop.opinions, pop.epsilons, _windows(pop.opinions, pop.epsilons), t)
 
 
 def out_degrees(g: InfluenceGraph) -> np.ndarray:

@@ -39,7 +39,7 @@ from .core import (
     require_member,
     simulate,
 )
-from .graph import InfluenceGraph, _pulls
+from .graph import InfluenceGraph, _graph, _pulls
 
 
 class Strategy(str, Enum):
@@ -197,7 +197,7 @@ def run_with_placement(
         if budget == 0:
             return None
         batches = []
-        for ev in offers(InfluenceGraph(x, eps, w.order, w.lo_r.take(w.run), w.hi_r.take(w.run), t)):
+        for ev in offers(_graph(x, eps, w, t)):
             if budget < ev.count:
                 break
             batches.append(ev)

@@ -246,6 +246,20 @@ class TestSweep:
         assert len(sweep) == 1 + 2 * 2 * 2
         assert len(means) == 1 + 2 * 2
 
+    def test_largest_float_epsilon_sweeps_as_one_without_warnings(self, tmp_path, capsys):
+        # a valid epsilon past 1 sees every agent, as 1.0 does; numpy
+        # warnings are errors in this suite, and stderr stays empty
+        cfg = write_cfg(
+            tmp_path,
+            {"kind": "epsilon_sweep", "grid": [1.0, 1.7976931348623157e308], "population_sizes": [10], "runs": 1},
+        )
+        assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("sweep.csv", "means.csv"):
+            # the two rows differ only in their point column
+            one, huge = (line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:])
+            assert one[:1] + one[2:] == huge[:1] + huge[2:], name
+
     def test_trajectory_dump_config(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -21,6 +21,7 @@ from echosim import (
     PlacementConfig,
     Population,
     Rule,
+    build_graph,
     clipped_normal_mixture,
     compute_injection,
     evenly_spaced,
@@ -28,12 +29,15 @@ from echosim import (
     pulls_all,
     run_with_placement,
     simulate,
+    strongly_connected_components,
 )
 from echosim import core, placement
 from echosim.core import (
     _BLOCK,
     _LEAF,
     _block_mask,
+    _edge_margins,
+    _settle,
     _step_arrays,
     _window_sums,
     _windows,
@@ -294,6 +298,82 @@ def test_windows_slack_of_twins_and_of_an_agent_at_an_edge():
     top = _window_top(0.11, 0.05)
     for edge in (top, np.nextafter(top, 1.0)):
         assert 0.0 <= slack_of([0.11, edge], [0.11, edge], [0.05, 0.01]) <= np.spacing(top)
+
+
+_TINY = np.nextafter(0.0, 1.0)
+_HUGE = np.finfo(float).max
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, _TINY, 2 * _TINY, 2.5e-310, 0.05, 0.45, 0.5, np.nextafter(0.5, 1.0), 0.95, 1.0]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(st.sampled_from([0.0, _TINY, 0.45, 1.0, 2.0, _HUGE]), min_size=1, max_size=40),
+)
+def test_edge_margins_are_the_edge_test_and_the_dense_predicate(values, epsilons):
+    # a sorted profile with ties, -0.0 beside 0.0 and subnormal gaps, so
+    # that sorted position p holds agent p
+    x = np.array(sorted(values))
+    eps = np.resize(epsilons, len(x))
+    n = len(x)
+    w = _windows(x, eps)
+    rows = [oracles.neighbors(x.tolist(), eps.tolist(), i) for i in range(n)]
+    assert [list(range(a, b)) for a, b in zip(*w.edges.tolist())] == rows
+    padded = np.concatenate([[-np.inf], x, [np.inf]])
+
+    def dense(c):
+        # the edge test at padded[c] by the dense predicate: with bound
+        # -eps_i it holds where position c - 1 lies below agent i's window,
+        # with the bound above eps_i where it lies below the window's end
+        if c == 0:
+            return np.ones((2, n), dtype=bool)
+        if c == n + 1:
+            return np.zeros((2, n), dtype=bool)
+        below = x[c - 1] < x
+        inside = np.array([c - 1 in row for row in rows])
+        return np.array([below & ~inside, below | inside])
+
+    for c in range(n + 1):
+        at = np.full((2, n), c)
+        inside, outside = _edge_margins(padded, x, at, w.bounds)
+        assert not (np.isnan(inside).any() or np.isnan(outside).any())
+        assert np.array_equal(inside > 0.0, padded[at] - x < w.bounds)
+        assert np.array_equal(outside < 0.0, padded[at + 1] - x < w.bounds)
+        assert np.array_equal(inside > 0.0, dense(c))
+        assert np.array_equal(outside < 0.0, dense(c + 1))
+    # guesses one run of tied opinions below or above every edge settle on it
+    below = np.searchsorted(x, padded[w.edges], "left")
+    above = np.searchsorted(x, padded[w.edges + 1], "right")
+    for guess in (below, above, np.where(np.arange(n) % 2, below, above)):
+        assert np.array_equal(_settle(x, guess, w.bounds), w.edges)
+
+
+@pytest.mark.parametrize("huge", [2.0, 1e308, _HUGE])
+def test_epsilons_past_one_act_as_one(huge):
+    # every fl(x_j - x_i) lies in [-1, 1], so _windows clamps eps at 2.0:
+    # an epsilon up to the largest float gives what 1.0 gives, with finite
+    # bounds and margins (the suite makes a numpy overflow an error)
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[0.0, 1.0, 0.5, 0.5], rng.random(56)])
+    small = rng.choice([0.01, 0.2, 0.45], len(x))
+    one, big = (Population(x, np.where(np.arange(len(x)) % 3, small, e)) for e in (1.0, huge))
+    for rule in (Rule.HK, Rule.HK_MOD):
+        a, b = (simulate(pop, DynamicsConfig(rule=rule, max_steps=50)) for pop in (one, big))
+        assert a.t_eqm == b.t_eqm and len(a.trajectory) == len(b.trajectory)
+        assert all(np.array_equal(p, q) for p, q in zip(a.trajectory, b.trajectory))
+    ga, gb = build_graph(one), build_graph(big)
+    for name in ("order", "lo", "hi"):
+        assert np.array_equal(getattr(ga, name), getattr(gb, name)), name
+    assert strongly_connected_components(ga) == strongly_connected_components(gb)
+    assert all(np.array_equal(p, q) for p, q in zip(pulls_all(ga), pulls_all(gb)))
+    slack = _windows_slack(x, _windows(x, big.epsilons))
+    assert np.isfinite(slack) and slack >= _windows_slack(x, _windows(x, one.epsilons)) >= 0.0
 
 
 def audited_run(monkeypatch, pop, dyn, batches):

@@ -56,3 +56,41 @@ def test_range_errors_are_worded_only_in_core():
         if phrase in path.read_text()
     ]
     assert found == []
+
+
+def _readers(path: Path, test) -> set[str]:
+    """The module-level statements of path, by name, with a node that passes test."""
+    return {
+        f"{path.name}: {name}"
+        for node in ast.parse(path.read_text()).body
+        for name in _defined(node) or ["<module>"]
+        if any(test(n) for n in ast.walk(node))
+    }
+
+
+def test_only_the_graph_constructor_reads_the_windows_record_outside_core():
+    # core._windows's record belongs to core; graph._graph is the one place
+    # where it becomes an InfluenceGraph, so no other module spells out its
+    # layout (order is left out: a graph has an order field too)
+    fields = {"lo_r", "hi_r", "run", "mask", "edges", "bounds", "ties", "same"}
+    readers = set().union(
+        *(
+            _readers(path, lambda n: isinstance(n, ast.Attribute) and n.attr in fields)
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "core.py"
+        )
+    )
+    assert readers == {"graph.py: _graph"}
+
+
+def test_the_window_edge_test_is_written_once():
+    # _settle and _windows_slack read one edge test, core._edge_margins:
+    # no other code subtracts an opinion from a padded one
+    def subtracts_from_padded(n):
+        return (
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Sub)
+            and any(isinstance(m, ast.Name) and m.id == "padded" for m in ast.walk(n.left))
+        )
+
+    assert _readers(SRC / "core.py", subtracts_from_padded) == {"core.py: _edge_margins"}
