@@ -220,6 +220,9 @@ def _run_command(command: str, cfg: dict) -> dict:
     return {f"graph.{fmt}": export_graph(g, fmt)}
 
 
+_WRITE_SLICE = 1 << 20  # characters per write: at most 1 MiB of text
+
+
 def dispatch(args) -> int:
     # all outputs are built before --out is made: a bad config writes nothing
     try:
@@ -229,7 +232,11 @@ def dispatch(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, payload in outputs.items():
             path = out_dir / name
-            path.write_text(payload)
+            # open() encodes as Path.write_text does, a slice at a time,
+            # so no second full-size copy of the payload is made
+            with open(path, "w") as out:
+                for k in range(0, len(payload), _WRITE_SLICE):
+                    out.write(payload[k : k + _WRITE_SLICE])
             if not args.quiet:
                 print(f"wrote {path}", file=sys.stderr)
     except OSError as exc:

@@ -7,13 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import echosim
 from echosim import harness
-from echosim.cli import main
+from echosim.cli import build_parser, dispatch, main
 from echosim.harness import SWEEP_KEYS, SweepKind, SweepSpec, run_sweep, write_sweep_csv
 from echosim.placement import Strategy
 from echosim.popgen import MixtureSpec
@@ -332,6 +333,22 @@ class TestGraph:
         )
         assert run_cli(["graph", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         assert json.loads((tmp_path / "graph.json").read_text())["t"] == 8
+
+    def test_dispatch_peak_memory_within_one_and_a_half_files(self, tmp_path):
+        # the export holds its text once and the writer encodes it a slice
+        # at a time, so no second full-size copy is made
+        mixture = {"kind": "mixture", "n": 600, "fractions": {"close": 0.5, "open": 0.5}, "rng_seed": 1}
+        cfg = write_cfg(tmp_path, {"population": mixture, "format": "json"})
+        args = build_parser().parse_args(["graph", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        tracemalloc.start()
+        try:
+            assert dispatch(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "graph.json").stat().st_size
+        assert size > 5_000_000
+        assert peak <= 1.6 * size, f"peak {peak / size:.2f} x the {size / 1e6:.1f} MB file"
 
 
 class TestExitCodes:

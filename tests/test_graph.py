@@ -286,12 +286,21 @@ class TestExport:
         want = {"dot": oracles.dot_text, "json": oracles.json_text}[fmt]
         assert export_graph(build_graph_arrays(x, eps), fmt) == want(x, eps)
 
-    @pytest.mark.parametrize("fmt", ["dot", "json"])
-    def test_export_peak_memory_within_four_texts(self, fmt):
-        # one window's names are alive at a time and no Python object is
-        # built per edge, so the traced peak, the text included, stays a
-        # small multiple of the text
-        spec = MixtureSpec(n=300, fractions={"close": 0.5, "open": 0.5}, rng_seed=1)
+    @pytest.mark.parametrize(
+        "fmt, n, bound",
+        [
+            pytest.param("dot", 300, 1.5, id="dot"),
+            pytest.param("json", 300, 1.5, id="json"),
+            pytest.param("dot", 2000, 1.25, id="dot-n2000"),
+            pytest.param("json", 2000, 1.25, id="json-n2000"),
+        ],
+    )
+    def test_export_peak_memory_near_one_text(self, fmt, n, bound):
+        # the edge lines stream into one growing text, a window's names are
+        # alive only from its first vertex to its last, and no Python object
+        # is built per edge, so the traced peak, the text included, stays
+        # near the text; the small graph's names weigh more against it
+        spec = MixtureSpec(n=n, fractions={"close": 0.5, "open": 0.5}, rng_seed=1)
         g = build_graph(clipped_normal_mixture(spec))
         tracemalloc.start()
         try:
@@ -299,7 +308,7 @@ class TestExport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * len(text), f"{fmt} peak {peak / len(text):.1f} x its text"
+        assert peak <= bound * len(text), f"{fmt} peak {peak / len(text):.2f} x its text"
 
     def test_json_edges_match_oracle(self):
         eps = [0.25] * 10
