@@ -5,7 +5,10 @@ place (trajectory + summary + injection events), sweep (records +
 per-point means; trajectory_dump configs write what simulate or place
 writes instead), graph (DOT/JSON export of a snapshot).  Every run is a
 pure function of the config plus flags, so rerunning a command
-reproduces its output files byte for byte.
+reproduces its output files byte for byte.  The whole config is checked
+and every run done before any output is written; each file is then
+streamed to disk as it is formatted (the trajectory a profile at a
+time, a graph export a line at a time).
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on I/O
 errors.  Progress goes to stderr; --quiet silences it.
@@ -21,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .core import DynamicsConfig, require_int, require_member, simulate
-from .graph import build_graph_arrays, export_graph
+from .graph import _export, build_graph_arrays
 from .harness import (
     SWEEP_KEYS,
     SweepKind,
@@ -181,7 +184,8 @@ def _population_from_config(cfg):
 
 
 def _run_command(command: str, cfg: dict) -> dict:
-    """Build everything from the config and return filename -> text."""
+    """Check the config and do every run it asks for, and return
+    filename -> an iterable of the file's text chunks."""
     if command == "sweep":
         kind = require_member("kind", cfg.get("kind"), SweepKind)
         needs, takes = SWEEP_KEYS[kind]
@@ -198,10 +202,10 @@ def _run_command(command: str, cfg: dict) -> dict:
         if spec.kind is SweepKind.TRAJECTORY_DUMP:
             return dump_trajectories(spec)
         records = run_sweep(spec)
-        return {"sweep.csv": write_sweep_csv(records), "means.csv": write_means_csv(aggregate_means(records))}
+        return {"sweep.csv": [write_sweep_csv(records)], "means.csv": [write_means_csv(aggregate_means(records))]}
     pop = _population_from_config(cfg["population"])
     if command == "gen":
-        return {"population.csv": write_population_csv(pop)}
+        return {"population.csv": [write_population_csv(pop)]}
     dyn = built.get("dynamics", DynamicsConfig())
     if command in ("simulate", "place"):
         return run_population(pop, dyn, built.get("placement"))
@@ -217,26 +221,23 @@ def _run_command(command: str, cfg: dict) -> dict:
     if step > 0:
         traj = simulate(pop, replace(dyn, max_steps=min(step, dyn.max_steps))).trajectory
     g = build_graph_arrays(traj[-1], pop.epsilons, len(traj) - 1)
-    return {f"graph.{fmt}": export_graph(g, fmt)}
-
-
-_WRITE_SLICE = 1 << 20  # characters per write: at most 1 MiB of text
+    return {f"graph.{fmt}": _export(g, fmt)}
 
 
 def dispatch(args) -> int:
-    # all outputs are built before --out is made: a bad config writes nothing
+    # every check and run is done before --out is made, so a bad config
+    # writes nothing; only the formatting streams into the files
     try:
         cfg = _object("config", _loads(_path("--config", args.config).read_text()))
         outputs = _run_command(args.command, _apply_overrides(cfg, args))
         out_dir = _path("--out", args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, payload in outputs.items():
+        for name, chunks in outputs.items():
             path = out_dir / name
-            # open() encodes as Path.write_text does, a slice at a time,
-            # so no second full-size copy of the payload is made
+            # open() encodes as Path.write_text does, a chunk at a time;
+            # writelines drops each chunk before it reads the next
             with open(path, "w") as out:
-                for k in range(0, len(payload), _WRITE_SLICE):
-                    out.write(payload[k : k + _WRITE_SLICE])
+                out.writelines(chunks)
             if not args.quiet:
                 print(f"wrote {path}", file=sys.stderr)
     except OSError as exc:

@@ -11,8 +11,8 @@ clusters are maximal groups of opinions chained within cluster_tol.
 
 from __future__ import annotations
 
-import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -571,8 +571,9 @@ def csv_text(header, rows) -> str:
     return ",".join(header) + "\n" + "".join(map(csv_row, rows))
 
 
-def write_trajectory_csv(trajectory: list, agents: Population) -> str:
-    """Serialize a trajectory as t,agent_id,opinion,epsilon,mindedness,injected.
+def _trajectory_csv(trajectory: list, agents: Population) -> Iterator[str]:
+    """The trajectory CSV as a stream: its header, then one chunk of rows
+    per profile.  Rows are t,agent_id,opinion,epsilon,mindedness,injected.
 
     Profiles may grow over time (placement runs); an agent's rows start
     at the first step it is present.  Cells follow csv_row.
@@ -581,11 +582,14 @@ def write_trajectory_csv(trajectory: list, agents: Population) -> str:
     tails = list(
         map(csv_row, zip(agents.epsilons.tolist(), agents.mindedness.tolist(), agents.injected.tolist()))
     )
-    buf = io.StringIO()
-    buf.write("t,agent_id,opinion,epsilon,mindedness,injected\n")
+    yield "t,agent_id,opinion,epsilon,mindedness,injected\n"
     for t, profile in enumerate(trajectory):
         # repr once per distinct bit pattern (so -0.0 and 0.0 stay apart)
         bits, index = np.unique(np.ascontiguousarray(profile, dtype=float).view(np.int64), return_inverse=True)
         texts = list(map(repr, bits.view(float).tolist()))
-        buf.writelines(f"{t},{i},{texts[k]},{tail}" for i, k, tail in zip(ids, index.tolist(), tails))
-    return buf.getvalue()
+        yield "".join([f"{t},{i},{texts[k]},{tail}" for i, k, tail in zip(ids, index.tolist(), tails)])
+
+
+def write_trajectory_csv(trajectory: list, agents: Population) -> str:
+    """The trajectory CSV (see _trajectory_csv) as one str."""
+    return "".join(_trajectory_csv(trajectory, agents))

@@ -17,10 +17,11 @@ Building is O(n log n), degrees and pendant in-vertices O(n), SCCs
 O(n log^2 n) at worst, pulls O(n log n) at worst; DOT and JSON export
 share one edge writer that sorts and names each distinct window once,
 and past that is linear in the edge count; its lines stream in vertex
-order into one growing str, so an export holds its text once.  Pulls
-come from the update step's window sums (core._window_sums), so every
-pull is one fixed function of the sorted opinions, the placement scan's
-exact comparisons hold, and there is no agent limit.
+order into one growing str, or from the CLI into the file, so an export
+holds its text once at most.  Pulls come from the update step's window
+sums (core._window_sums), so every pull is one fixed function of the
+sorted opinions, the placement scan's exact comparisons hold, and there
+is no agent limit.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ def pendant_in_vertices(g: InfluenceGraph) -> set[int]:
 
 
 def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool) -> Iterator[str]:
-    """One line per vertex with an edge to write, in vertex order: its
-    edges (i, j), j increasing, each as head.format(i) + "j" + tail,
-    joined by join; self-loops only if loops.
+    """One line per vertex with an edge to write, in vertex order, each
+    after the first led by join: its edges (i, j), j increasing, each as
+    head.format(i) + "j" + tail, joined by join; self-loops only if loops.
 
     Vertices that share a window (lo, hi) share its sorted target names,
     so each distinct window is sorted and named once, at its first
@@ -185,6 +186,7 @@ def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool)
     _, window, uses = np.unique(lo * (g.n + 1) + hi, return_inverse=True, return_counts=True)
     uses = uses.tolist()
     alive: dict[int, tuple[np.ndarray, list[str]]] = {}
+    lead = ""
     for i, w, a, b in zip(sources.tolist(), window.tolist(), lo.tolist(), hi.tolist()):
         if w not in alive:
             targets = np.sort(g.order[a:b])
@@ -196,10 +198,11 @@ def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool)
             k = int(targets.searchsorted(i))
             own = target_names.pop(k)
         start, end = target_names[0], target_names[-1]
-        target_names[0] = first + start
+        target_names[0] = lead + first + start
         target_names[-1] += tail
         yield f"{tail}{join}{first}".join(target_names)
         target_names[0], target_names[-1] = start, end
+        lead = join
         if not loops:
             target_names.insert(k, own)
 
@@ -208,20 +211,33 @@ def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool)
 # 3.11+ only where the interpreter has specialised that append, as in a
 # loop that has run a few times; an unspecialised append (one after the
 # loop on 3.12+, every one under sys.settrace or sys.setprofile on 3.11)
-# copies the text so far.  So all pieces, the end included, go through
-# export_graph's one loop, at most _APPENDS + 2 of them: at worst they copy
+# copies the text so far.  So export_graph appends every piece, the end
+# included, in one loop, at most _APPENDS + 2 of them: at worst they copy
 # (_APPENDS + 2) / 2 texts' worth, 0.2 s and 1.5 s traced for the DOT and
 # JSON of an n = 2000 mixture (31 and 72 MB), against 35 and 85 ms.
 _APPENDS = 64
 
 
-def _pieces(lines: Iterator[str], join: str, size: int) -> Iterator[str]:
-    """join.join(lines) in pieces of at most size lines, each piece after
-    the first led by join."""
-    lead = []
-    while batch := list(islice(lines, size)):
-        yield join.join(lead + batch)
-        lead = [""]
+def _export(g: InfluenceGraph, fmt: str) -> Iterator[str]:
+    """export_graph's text as a stream of nonempty chunks: its head, its
+    edge lines (each after the first led by their join), then its end."""
+    if fmt == "dot":
+        labels = enumerate(zip(g.opinions.tolist(), classify_all(g.epsilons).tolist()))
+        head = "\n".join(["digraph influence {", *(f'  {i} [label="{i}|{x!r}|{m}"];' for i, (x, m) in labels)])
+        # each edge line carries its leading newline, so lines join with ""
+        lines = _edge_lines(g, "\n  {} -> ", ";", "", loops=False)
+        end = "\n}\n"
+    elif fmt == "json":
+        values = zip(g.opinions.tolist(), g.epsilons.tolist())
+        vertices = [{"id": i, "opinion": x, "epsilon": e} for i, (x, e) in enumerate(values)]
+        payload = json.dumps({"n": g.n, "t": g.timestamp, "vertices": vertices}, indent=2)
+        # the edges as indent=2 writes them, in place of the payload's closing "\n}"
+        head = f'{payload[:-2]},\n  "edges": [\n'
+        lines = _edge_lines(g, "    [\n      {},\n      ", "\n    ]", ",\n", loops=True)
+        end = "\n  ]\n}\n"
+    else:
+        raise ValueError(f"unknown export format {fmt!r}")
+    return chain([head], lines, [end])
 
 
 def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
@@ -229,22 +245,12 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
     id|opinion|mindedness) or JSON (vertices with their opinion and
     epsilon, and every edge [i, j] including self-loops).  The edge
     lines stream into one growing str, so the text is held once."""
-    if fmt == "dot":
-        labels = enumerate(zip(g.opinions.tolist(), classify_all(g.epsilons).tolist()))
-        head = "\n".join(["digraph influence {", *(f'  {i} [label="{i}|{x!r}|{m}"];' for i, (x, m) in labels)])
-        # each edge line carries its leading newline, so lines join with ""
-        join, end = "", "\n}\n"
-        lines = _edge_lines(g, "\n  {} -> ", ";", join, loops=False)
-    elif fmt == "json":
-        values = zip(g.opinions.tolist(), g.epsilons.tolist())
-        vertices = [{"id": i, "opinion": x, "epsilon": e} for i, (x, e) in enumerate(values)]
-        payload = json.dumps({"n": g.n, "t": g.timestamp, "vertices": vertices}, indent=2)
-        # the edges as indent=2 writes them, in place of the payload's closing "\n}"
-        head, join, end = f'{payload[:-2]},\n  "edges": [\n', ",\n", "\n  ]\n}\n"
-        lines = _edge_lines(g, "    [\n      {},\n      ", "\n    ]", join, loops=True)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
+    chunks, size = _export(g, fmt), -(-g.n // _APPENDS)
     text = ""
-    for piece in chain([head], _pieces(lines, join, -(-g.n // _APPENDS)), [end]):
+    # no chunk is empty, so an empty piece means the stream has ended.  A
+    # for loop: 3.11 specialises only code warmed by a call or a plain
+    # backward jump, and a while loop's jump back here is conditional
+    for piece in iter(lambda: "".join(islice(chunks, size)), ""):
         text += piece
+        del piece  # not kept alive while the next piece is joined
     return text

@@ -22,12 +22,12 @@ from .core import (
     DynamicsConfig,
     Mindedness,
     Population,
+    _trajectory_csv,
     csv_text,
     require_finite,
     require_int,
     require_member,
     simulate,
-    write_trajectory_csv,
 )
 from .placement import PlacementConfig, Strategy, budget_spent, run_with_placement, write_events_csv
 from .popgen import MixtureSpec, clipped_normal_mixture, evenly_spaced, round_half_up, transform
@@ -220,18 +220,21 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
 def run_population(pop: Population, dyn: DynamicsConfig, place: PlacementConfig | None = None) -> dict:
     """Run pop, with placement when place is given, and return its CSV
-    payloads keyed by filename: trajectory.csv and summary.csv, plus
-    events.csv with placement.  The summary is one n,t_eqm,converged,c_eqm
-    row; n counts the injected agents too."""
+    files keyed by filename, each an iterable of text chunks:
+    trajectory.csv and summary.csv, plus events.csv with placement.  The
+    run happens here; the trajectory is formatted a profile at a time as
+    its chunks are read.  The summary is one n,t_eqm,converged,c_eqm row;
+    n counts the injected agents too."""
     [(result, events, _)] = _execute([(pop, place)], dyn, lambda *run: run)
-    files = {"events.csv": write_events_csv(events)} if place else {}
+    files = {"events.csv": [write_events_csv(events)]} if place else {}
     summary = csv_text(("n", "t_eqm", "converged", "c_eqm"), [(result.agents.n, *_outcome(result, events, dyn)[1:])])
-    return {"trajectory.csv": write_trajectory_csv(result.trajectory, result.agents), "summary.csv": summary, **files}
+    return {"trajectory.csv": _trajectory_csv(result.trajectory, result.agents), "summary.csv": [summary], **files}
 
 
 def dump_trajectories(spec: SweepSpec) -> dict:
     """trajectory_dump kind: run_population's files (trajectory, summary,
-    and events when the spec has a placement) for the base mixture."""
+    and events when the spec has a placement) for the base mixture, each
+    an iterable of text chunks."""
     return run_population(clipped_normal_mixture(spec.base_mixture), spec.dynamics, spec.placement)
 
 

@@ -15,9 +15,11 @@ import pytest
 import echosim
 from echosim import harness
 from echosim.cli import build_parser, dispatch, main
+from echosim.core import DynamicsConfig, simulate, write_trajectory_csv
+from echosim.graph import build_graph_arrays, export_graph
 from echosim.harness import SWEEP_KEYS, SweepKind, SweepSpec, run_sweep, write_sweep_csv
-from echosim.placement import Strategy
-from echosim.popgen import MixtureSpec
+from echosim.placement import PlacementConfig, Strategy, run_with_placement
+from echosim.popgen import MixtureSpec, clipped_normal_mixture
 
 
 def run_cli(argv):
@@ -334,21 +336,92 @@ class TestGraph:
         assert run_cli(["graph", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         assert json.loads((tmp_path / "graph.json").read_text())["t"] == 8
 
-    def test_dispatch_peak_memory_within_one_and_a_half_files(self, tmp_path):
-        # the export holds its text once and the writer encodes it a slice
-        # at a time, so no second full-size copy is made
-        mixture = {"kind": "mixture", "n": 600, "fractions": {"close": 0.5, "open": 0.5}, "rng_seed": 1}
-        cfg = write_cfg(tmp_path, {"population": mixture, "format": "json"})
-        args = build_parser().parse_args(["graph", "--config", cfg, "--out", str(tmp_path), "--quiet"])
-        tracemalloc.start()
-        try:
-            assert dispatch(args) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = (tmp_path / "graph.json").stat().st_size
-        assert size > 5_000_000
-        assert peak <= 1.6 * size, f"peak {peak / size:.2f} x the {size / 1e6:.1f} MB file"
+
+@pytest.mark.parametrize(
+    "command, cfg, name",
+    [
+        pytest.param("graph", {"population": HALF60, "format": "dot"}, "graph.dot", id="graph-dot"),
+        pytest.param("graph", {"population": HALF60, "format": "json"}, "graph.json", id="graph-json"),
+        pytest.param("graph", {"population": HALF60, "format": "dot", "step": 500}, "graph.dot", id="graph-dot-settled"),
+        pytest.param(
+            "graph", {"population": HALF60, "format": "json", "step": 500}, "graph.json", id="graph-json-settled"
+        ),
+        pytest.param("simulate", {"population": HALF60}, "trajectory.csv", id="simulate"),
+        pytest.param("place", {"population": HALF60, "placement": {"budget": 20}}, "trajectory.csv", id="place"),
+        pytest.param(
+            "sweep",
+            {"kind": "trajectory_dump", "base_mixture": HALF60, "placement": {"budget": 20}},
+            "trajectory.csv",
+            id="trajectory_dump",
+        ),
+    ],
+)
+def test_cli_writes_the_library_texts(tmp_path, command, cfg, name):
+    # the CLI streams each file; its bytes are the library's one-str text
+    pop = clipped_normal_mixture(MixtureSpec(**HALF60))
+    dyn = DynamicsConfig()
+    if command == "graph":
+        traj = simulate(pop, dyn).trajectory
+        assert len(traj) - 1 < 500  # the run settles before step 500
+        traj = traj[: cfg.get("step", 0) + 1]
+        want = export_graph(build_graph_arrays(traj[-1], pop.epsilons, len(traj) - 1), cfg["format"])
+    else:
+        place = cfg.get("placement")
+        result = run_with_placement(pop, dyn, PlacementConfig(**place))[0] if place else simulate(pop, dyn)
+        assert place is None or result.agents.n > pop.n
+        want = write_trajectory_csv(result.trajectory, result.agents)
+    path = write_cfg(tmp_path, cfg)
+    assert run_cli([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert (tmp_path / "out" / name).read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, name, bound",
+    [
+        # the 6.3 MB JSON export of an n = 600 mixture: 1.34 x before
+        # it was streamed, 0.10 x streamed
+        pytest.param(
+            "graph",
+            {"population": {"n": 600, "fractions": {"close": 0.5, "open": 0.5}, "rng_seed": 1}, "format": "json"},
+            "graph.json",
+            0.5,
+            id="graph-json",
+        ),
+        # the trajectories (1.2 and 1.6 MB) of n = 2000 runs: 3.7-3.8 x
+        # before they were streamed, 0.82 and 0.67 x streamed
+        pytest.param(
+            "simulate",
+            {"population": {"n": 2000, "fractions": {"close": 0.8, "open": 0.2}, "rng_seed": 0}},
+            "trajectory.csv",
+            1.5,
+            id="simulate",
+        ),
+        pytest.param(
+            "place",
+            {
+                "population": {"n": 2000, "fractions": {"close": 0.5, "open": 0.5}, "rng_seed": 0},
+                "placement": {"budget": 200},
+            },
+            "trajectory.csv",
+            1.5,
+            id="place",
+        ),
+    ],
+)
+def test_dispatch_peak_memory_streams_the_file(tmp_path, command, cfg, name, bound):
+    # dispatch writes each file a chunk at a time (a graph line, a
+    # trajectory profile), so its traced peak is the run's, not the file's
+    path = write_cfg(tmp_path, cfg)
+    args = build_parser().parse_args([command, "--config", path, "--out", str(tmp_path), "--quiet"])
+    tracemalloc.start()
+    try:
+        assert dispatch(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / name).stat().st_size
+    assert size > 1_000_000
+    assert peak <= bound * size, f"peak {peak / size:.2f} x the {size / 1e6:.1f} MB file"
 
 
 class TestExitCodes:

@@ -357,7 +357,7 @@ class TestTrajectoryDump:
         )
         out = dump_trajectories(spec)
         assert set(out) == {"trajectory.csv", "summary.csv"}
-        lines = out["trajectory.csv"].strip().split("\n")
+        lines = "".join(out["trajectory.csv"]).strip().split("\n")
         base = clipped_normal_mixture(spec.base_mixture)
         plain = simulate(base, spec.dynamics)
         assert len(lines) == 1 + 20 * len(plain.trajectory)
