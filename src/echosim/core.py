@@ -15,6 +15,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -590,6 +591,24 @@ def _trajectory_csv(trajectory: list, agents: Population) -> Iterator[str]:
         yield "".join([f"{t},{i},{texts[k]},{tail}" for i, k, tail in zip(ids, index.tolist(), tails)])
 
 
+_APPENDS = 64  # _text appends at most _APPENDS + 2 pieces
+
+
+def _text(chunks: Iterator[str], count: int) -> str:
+    """The text of a stream of nonempty chunks, at most count + 2 of them,
+    appended in place in pieces of ceil(count / _APPENDS) chunks.  CPython
+    3.11+ appends in place only where it has specialised the append (on
+    3.11, code warmed by a call or a plain backward jump, not a while
+    loop's); any other append (after a loop on 3.12+, under sys.settrace
+    on 3.11) copies the text so far, so all of them, the end's too, run in
+    this one for loop and copy at most (_APPENDS + 2) / 2 texts' worth."""
+    text = ""
+    for piece in iter(lambda: "".join(islice(chunks, -(-count // _APPENDS))), ""):  # "" ends the stream
+        text += piece
+        del piece  # not kept alive while the next piece is joined
+    return text
+
+
 def write_trajectory_csv(trajectory: list, agents: Population) -> str:
-    """The trajectory CSV (see _trajectory_csv) as one str."""
-    return "".join(_trajectory_csv(trajectory, agents))
+    """The trajectory CSV (see _trajectory_csv) as one str (see _text)."""
+    return _text(_trajectory_csv(trajectory, agents), len(trajectory) + 1)

@@ -17,11 +17,10 @@ Building is O(n log n), degrees and pendant in-vertices O(n), SCCs
 O(n log^2 n) at worst, pulls O(n log n) at worst; DOT and JSON export
 share one edge writer that sorts and names each distinct window once,
 and past that is linear in the edge count; its lines stream in vertex
-order into one growing str, or from the CLI into the file, so an export
-holds its text once at most.  Pulls come from the update step's window
-sums (core._window_sums), so every pull is one fixed function of the
-sorted opinions, the placement scan's exact comparisons hold, and there
-is no agent limit.
+order into core's text builder (core._text) or, from the CLI, into the
+file.  Pulls come from the update step's window sums (core._window_sums),
+so every pull is one fixed function of the sorted opinions, the placement
+scan's exact comparisons hold, and there is no agent limit.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
-from .core import Population, _window_sums, _windows, classify_all
+from .core import Population, _text, _window_sums, _windows, classify_all
 
 
 @dataclass(frozen=True)
@@ -207,17 +206,6 @@ def _edge_lines(g: InfluenceGraph, head: str, tail: str, join: str, loops: bool)
             target_names.insert(k, own)
 
 
-# `text += piece` grows a str nothing else holds in place, but on CPython
-# 3.11+ only where the interpreter has specialised that append, as in a
-# loop that has run a few times; an unspecialised append (one after the
-# loop on 3.12+, every one under sys.settrace or sys.setprofile on 3.11)
-# copies the text so far.  So export_graph appends every piece, the end
-# included, in one loop, at most _APPENDS + 2 of them: at worst they copy
-# (_APPENDS + 2) / 2 texts' worth, 0.2 s and 1.5 s traced for the DOT and
-# JSON of an n = 2000 mixture (31 and 72 MB), against 35 and 85 ms.
-_APPENDS = 64
-
-
 def _export(g: InfluenceGraph, fmt: str) -> Iterator[str]:
     """export_graph's text as a stream of nonempty chunks: its head, its
     edge lines (each after the first led by their join), then its end."""
@@ -244,13 +232,6 @@ def export_graph(g: InfluenceGraph, fmt: str = "dot") -> str:
     """Render the graph as DOT (self-loops omitted, vertex labels
     id|opinion|mindedness) or JSON (vertices with their opinion and
     epsilon, and every edge [i, j] including self-loops).  The edge
-    lines stream into one growing str, so the text is held once."""
-    chunks, size = _export(g, fmt), -(-g.n // _APPENDS)
-    text = ""
-    # no chunk is empty, so an empty piece means the stream has ended.  A
-    # for loop: 3.11 specialises only code warmed by a call or a plain
-    # backward jump, and a while loop's jump back here is conditional
-    for piece in iter(lambda: "".join(islice(chunks, size)), ""):
-        text += piece
-        del piece  # not kept alive while the next piece is joined
-    return text
+    lines stream into core's text builder (core._text), so the text is
+    held about once."""
+    return _text(_export(g, fmt), g.n)

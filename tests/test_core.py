@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,3 +497,18 @@ class TestTrajectoryCsv:
         r, events = run_with_placement(pop, DynamicsConfig(), PlacementConfig(budget=20, epsilon_new=0.45))
         assert max(ev.time for ev in events) > 0 and len(r.trajectory[0]) < len(r.trajectory[-1])
         assert write_trajectory_csv(r.trajectory, r.agents) == self.plain(r)
+
+    @pytest.mark.parametrize("n", [2000, 20_000])
+    def test_peak_memory_near_one_text(self, n):
+        # the chunks, a profile each, are appended into one growing text, so
+        # no list of every chunk is held beside it; the peak, the text
+        # included, is the text plus about one profile's rows
+        pop = clipped_normal_mixture(MixtureSpec(n=n, fractions={"close": 0.8, "open": 0.2}, rng_seed=0))
+        r = simulate(pop)
+        tracemalloc.start()
+        try:
+            text = write_trajectory_csv(r.trajectory, r.agents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(text), f"peak {peak / len(text):.2f} x its text"

@@ -94,3 +94,24 @@ def test_the_window_edge_test_is_written_once():
         )
 
     assert _readers(SRC / "core.py", subtracts_from_padded) == {"core.py: _edge_margins"}
+
+
+def test_returned_text_is_built_once_in_core():
+    # core._text is the one loop that appends a chunk stream into returned
+    # text: islice and its piece constant appear in no other module, and
+    # export_graph and write_trajectory_csv both return through it
+    def names_piece_loop(n):
+        wanted = {"islice", "_APPENDS"}
+        return (
+            (isinstance(n, ast.Name) and n.id in wanted)
+            or (isinstance(n, ast.Attribute) and n.attr in wanted)
+            or (isinstance(n, ast.alias) and n.name in wanted)
+        )
+
+    def calls_text(n):
+        return isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_text"
+
+    owners = set().union(*(_readers(path, names_piece_loop) for path in sorted(SRC.glob("*.py"))))
+    assert {owner.split(":")[0] for owner in owners} == {"core.py"}
+    callers = _readers(SRC / "core.py", calls_text) | _readers(SRC / "graph.py", calls_text)
+    assert callers == {"core.py: write_trajectory_csv", "graph.py: export_graph"}
